@@ -8,9 +8,8 @@ from .coarray import (CoarraySignal, OracleDecomposition, SmoothedMatrix,
                       SmoothingPlan, coarray_signal, decompose_oracle,
                       max_shrinkage, population_coarray_signal, vws_smooth)
 from .estimators import (EstimationResult, Spectrum, SubspacePair,
-                         default_grid, estimate_doas, estimate_music,
-                         estimate_root_music, music_spectrum, noise_subspace,
-                         pick_peaks, root_music)
+                         default_grid, estimate_doas, music_spectrum,
+                         noise_subspace, pick_peaks, root_music)
 from .geometry import (ArrayGeometry, Coarray, build_mra, build_nested,
                        build_super_nested, build_ula, difference_coarray,
                        geometry_from_text, geometry_to_text)

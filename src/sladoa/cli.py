@@ -155,7 +155,7 @@ def cmd_estimate(args) -> int:
     if not 0 <= a <= amax:
         raise ConfigError(f"a: shrinkage {a} infeasible; maximum a is {amax}")
 
-    noise_var = snr_to_noise_var(snr_db) if math.isfinite(snr_db) else 0.0
+    noise_var = snr_to_noise_var(snr_db)
     snaps = simulate_snapshots(scene, geom, t, noise_var, seed)
     r = sample_covariance(snaps)
     result, _ = estimate_doas(r, geom, scene.d, a, method=method, grid_size=grid)
@@ -187,16 +187,15 @@ def cmd_sweep(args) -> int:
     a_values = _ints(cfg, "a", [0])
     snr_vals = _floats(cfg, "snr_db", [10.0])
     snap_vals = _ints(cfg, "snapshots", [1000])
+    if not snr_vals or not snap_vals:
+        raise ConfigError("snr_db/snapshots: empty list")
     if len(snr_vals) > 1 and len(snap_vals) > 1:
         raise ConfigError("snr_db/snapshots: only one may be a list (the axis)")
+    snapshots, snr_db = snap_vals[0], snr_vals[0]
     if len(snap_vals) > 1:
         axis, axis_values = "snapshots", tuple(float(v) for v in snap_vals)
-        snapshots, snr_db = snap_vals[0], snr_vals[0]
     else:
         axis, axis_values = "snr", tuple(snr_vals)
-        snapshots, snr_db = snap_vals[0], snr_vals[0]
-    if not axis_values:
-        raise ConfigError("axis: empty axis list")
     trials = args.trials if args.trials is not None else _scalar(_ints(cfg, "trials", [500]), "trials")
     seed = args.seed if args.seed is not None else _scalar(_ints(cfg, "seed", [0]), "seed")
     grid = args.grid if args.grid is not None else _scalar(_ints(cfg, "grid", [2000]), "grid")
@@ -216,6 +215,8 @@ def cmd_sweep(args) -> int:
             try:
                 sub.validate()
             except ValueError as exc:
+                if not str(exc).startswith("a:"):   # not per-combination
+                    raise
                 warnings.append(f"{geom.name} a={a}: {exc}")
                 continue
             result = rmse_sweep(sub, workers=args.workers)
@@ -246,7 +247,7 @@ def cmd_sweep(args) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     sidecar_path = str(args.out) + ".config.json"
-    write_sweep_json(sidecars[0], sidecar_path)
+    write_sweep_json(sidecars, sidecar_path)
     print(f"wrote {len(rows)} rows to {args.out} (sidecar: {sidecar_path})")
     print("geometry        method          a    axis_value  rmse")
     for g, m, a, av, rm, *_ in rows:

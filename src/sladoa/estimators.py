@@ -1,13 +1,14 @@
 """Subspace DOA estimators over the smoothed coarray matrix.
 
-Both estimators consume the noise subspace of the smoothed matrix and
-the coarray steering convention a(theta)[m] = exp(+j*pi*m*theta) over
-the reference-window lags 0..M-1.
+Both estimators consume the noise subspace U_N of the smoothed matrix
+and the coarray steering convention a(theta)[m] = exp(+j*pi*m*theta)
+over the reference-window lags 0..M-1.  Both read one coefficient
+vector, the diagonal sums of U_N U_N^H (Barabell 1983): root-MUSIC
+roots that polynomial, MUSIC evaluates it on the default grid by FFT.
 """
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -25,8 +26,6 @@ __all__ = [
     "music_spectrum",
     "pick_peaks",
     "root_music",
-    "estimate_music",
-    "estimate_root_music",
     "estimate_doas",
     "save_spectrum_csv",
 ]
@@ -70,19 +69,9 @@ def default_grid(size: int = 2000) -> np.ndarray:
     return -1.0 + 2.0 * np.arange(size) / size
 
 
-@lru_cache(maxsize=32)
-def _cached_grid_steering(m: int, size: int):
-    grid = default_grid(size)
-    return grid, np.exp(1j * np.pi * np.outer(np.arange(m), grid))
-
-
-def _values(r) -> np.ndarray:
-    return r.values if isinstance(r, SmoothedMatrix) else np.asarray(r)
-
-
 def noise_subspace(r, d: int) -> SubspacePair:
     """EVD split: d largest eigenvalues span the signal subspace."""
-    values = _values(r)
+    values = r.values if isinstance(r, SmoothedMatrix) else np.asarray(r)
     m = values.shape[0]
     if not 0 <= d < m:
         raise ValueError(f"need 0 <= d < M, got d={d}, M={m}")
@@ -107,6 +96,27 @@ def music_spectrum(noise: np.ndarray, grid,
     proj = noise.conj().T @ steering
     denom = np.einsum("ij,ij->j", proj, proj.conj()).real
     return Spectrum(grid, 1.0 / np.maximum(denom, _DENOM_FLOOR))
+
+
+def _noise_polynomial(noise: np.ndarray) -> np.ndarray:
+    """Ascending t_{1-M} .. t_{M-1}; t_k sums diagonal k of U_N U_N^H."""
+    m = noise.shape[0]
+    c = (noise @ noise.conj().T).ravel()
+    lag = (np.arange(m) - np.arange(m)[:, None]).ravel() + m - 1
+    return (np.bincount(lag, c.real, 2 * m - 1)
+            + 1j * np.bincount(lag, c.imag, 2 * m - 1))
+
+
+def _grid_spectrum(noise: np.ndarray, size: int) -> Spectrum:
+    """``music_spectrum`` on ``default_grid(size)``: on theta_j = -1 + 2j/K
+    the denominator is Re sum_k (-1)^k t_k exp(2*pi*i*k*j/K), an inverse
+    DFT of length K once k is folded mod K."""
+    t = _noise_polynomial(noise)
+    k = np.arange(t.size) - t.size // 2
+    w = np.zeros(size, dtype=complex)
+    np.add.at(w, k % size, np.where(k % 2, -t, t))
+    denom = np.fft.ifft(w, norm="forward").real
+    return Spectrum(default_grid(size), 1.0 / np.maximum(denom, _DENOM_FLOOR))
 
 
 def pick_peaks(s: Spectrum, d: int) -> EstimationResult:
@@ -158,9 +168,7 @@ def root_music(noise: np.ndarray, d: int) -> EstimationResult:
     m = noise.shape[0]
     if m < 2:
         raise ValueError("need M >= 2")
-    c = noise @ noise.conj().T
-    coeffs = np.array([np.trace(c, offset=k) for k in range(-(m - 1), m)])
-    roots = polynomial_roots(coeffs)
+    roots = polynomial_roots(_noise_polynomial(noise))
     moduli = np.abs(roots)
     inside = roots[moduli < 1.0]
     outside = roots[moduli >= 1.0]
@@ -180,41 +188,23 @@ def root_music(noise: np.ndarray, d: int) -> EstimationResult:
                             fill_count=fill, root_moduli=np.abs(picked)[order])
 
 
-def estimate_music(r, d: int, grid_size: int = 2000) -> EstimationResult:
-    """MUSIC on the default grid, with the steering matrix cached per
-    (window size, grid size)."""
-    sub = noise_subspace(r, d)
-    m = sub.noise.shape[0]
-    grid, steering = _cached_grid_steering(m, grid_size)
-    return pick_peaks(music_spectrum(sub.noise, grid, steering), d)
-
-
-def estimate_root_music(r, d: int) -> EstimationResult:
-    return root_music(noise_subspace(r, d).noise, d)
-
-
 def estimate_doas(r: np.ndarray, geom: ArrayGeometry, d: int, a: int,
                   method: str = "vws-ca-rmusic",
                   grid_size: int = 2000) -> tuple[EstimationResult, float]:
     """Full pipeline from an N x N covariance to DOA estimates.
 
-    Returns the estimate and the wall time of the subspace EVD step
-    (the dominant cost, cubic in the window size).
+    Returns the estimate and the wall time of the subspace EVD step.
+    MUSIC searches ``default_grid(grid_size)``.
     """
-    x = coarray_signal(r, geom)
-    sm = vws_smooth(x, a)
+    sm = vws_smooth(coarray_signal(r, geom), a)
     t0 = time.perf_counter()
     sub = noise_subspace(sm, d)
     evd_time = time.perf_counter() - t0
     if method == "vws-ca-music":
-        m = sub.noise.shape[0]
-        grid, steering = _cached_grid_steering(m, grid_size)
-        result = pick_peaks(music_spectrum(sub.noise, grid, steering), d)
-    elif method == "vws-ca-rmusic":
-        result = root_music(sub.noise, d)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return result, evd_time
+        return pick_peaks(_grid_spectrum(sub.noise, grid_size), d), evd_time
+    if method == "vws-ca-rmusic":
+        return root_music(sub.noise, d), evd_time
+    raise ValueError(f"unknown method {method!r}")
 
 
 def save_spectrum_csv(s: Spectrum, path) -> None:

@@ -71,6 +71,12 @@ class ExperimentConfig:
             raise ValueError("axis_values: must be nonempty")
         if self.axis == "snapshots" and any(v < 1 for v in self.axis_values):
             raise ValueError("axis_values: snapshot counts must be >= 1")
+        try:
+            for v in self.axis_values if self.axis == "snr" else ():
+                snr_to_noise_var(v)
+        except ValueError as exc:
+            raise ValueError(f"axis_values: {exc}") from None
+        snr_to_noise_var(self.snr_db)           # its error names snr_db
         if self.snapshots < 1:
             raise ValueError("snapshots: must be >= 1")
         if self.trials < 1:
@@ -224,9 +230,9 @@ def write_sweep_csv(result: SweepResult, path, timing: bool = True) -> None:
             fh.write(f"{float(av)!r},{float(rm)!r},{result.trials},{fl},{t!r}\n")
 
 
-def write_sweep_json(result: SweepResult, path) -> None:
-    """JSON sidecar with the full config echo and master seed."""
-    payload = {
+def write_sweep_json(results, path) -> None:
+    """JSON sidecar: one object per SweepResult, with config and seed."""
+    payload = [{
         "config": result.config,
         "seed": result.seed,
         "axis": result.axis,
@@ -235,7 +241,7 @@ def write_sweep_json(result: SweepResult, path) -> None:
         "fills": list(result.fills),
         "trials": result.trials,
         "mean_evd_time": list(result.mean_evd_time),
-    }
+    } for result in results]
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -4,7 +4,7 @@ Directions are parameterized throughout as theta = sin(DOA) in [-1, 1).
 Source and noise samples are circular complex Gaussian, drawn as
 (g1 + j*g2)/sqrt(2) with independent standard normals, so each complex
 entry has unit variance.  SNR convention: unit source powers with noise
-variance 10**(-snr_db/10).
+variance 10**(-snr_db/10); +inf dB is noiseless.
 """
 
 from dataclasses import dataclass
@@ -132,6 +132,8 @@ def sample_covariance(x: SnapshotSet) -> np.ndarray:
 
 def snr_to_noise_var(snr_db: float) -> float:
     """Noise variance for unit-power sources at the given SNR in dB."""
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"snr_db: must be a number or +inf, got {snr_db}")
     return float(10.0 ** (-snr_db / 10.0))
 
 

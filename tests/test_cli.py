@@ -4,6 +4,7 @@ Everything runs in-process through ``sladoa.cli.main`` so stdout/stderr
 can be captured with capsys."""
 
 import csv
+import json
 
 import pytest
 
@@ -113,6 +114,12 @@ class TestEstimateCommand:
         assert main(["estimate", cfg]) == 2
         assert "thetas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr", ["nan", "-inf"])
+    def test_non_finite_snr_exits_2(self, tmp_path, capsys, snr):
+        cfg = self.write_cfg(tmp_path, ESTIMATE_CFG + f"snr_db = {snr}\n")
+        assert main(["estimate", cfg]) == 2
+        assert "snr_db" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["estimate", str(tmp_path / "nope.txt")]) == 1
 
@@ -141,6 +148,33 @@ class TestSweepCommand:
         _, out, _ = self.run_sweep(tmp_path, capsys)
         sidecar = out.parent / (out.name + ".config.json")
         assert sidecar.exists()
+
+    def test_sidecar_describes_every_run(self, tmp_path, capsys):
+        _, out, _ = self.run_sweep(tmp_path, capsys)
+        sidecar = json.loads((out.parent / (out.name + ".config.json"))
+                             .read_text())
+        runs = {(run["config"]["geometry"], run["config"]["a"])
+                for run in sidecar}
+        assert runs == {("nested(4,4)", 0), ("nested(4,4)", 3),
+                        ("mra(8)", 0), ("mra(8)", 3)}
+
+    def test_nan_snr_exits_2(self, tmp_path, capsys):
+        text = SWEEP_CFG.replace("snr_db = 0 10", "snr_db = 0 nan")
+        code, _, captured = self.run_sweep(tmp_path, capsys, text)
+        assert code == 2
+        assert "snr_db" in captured.err
+
+    def test_invalid_setting_stops_sweep(self, tmp_path, capsys):
+        code, _, captured = self.run_sweep(tmp_path, capsys,
+                                           extra=["--trials", "0"])
+        assert code == 2
+        assert "trials:" in captured.err and "warning" not in captured.err
+
+    def test_empty_snr_list_exits_2(self, tmp_path, capsys):
+        text = SWEEP_CFG.replace("snr_db = 0 10", "snr_db =")
+        code, _, captured = self.run_sweep(tmp_path, capsys, text)
+        assert code == 2
+        assert "empty list" in captured.err
 
     def test_infeasible_combo_warns_and_continues(self, tmp_path, capsys):
         text = SWEEP_CFG.replace("a = 0 3", "a = 3 17")

@@ -6,23 +6,44 @@ import pytest
 
 from sladoa.coarray import (coarray_signal, difference_coarray, max_shrinkage,
                             vws_smooth)
-from sladoa.estimators import (EstimationResult, Spectrum, default_grid,
-                               estimate_doas, estimate_music,
-                               estimate_root_music, music_spectrum,
-                               noise_subspace, pick_peaks, root_music,
-                               save_spectrum_csv)
+from sladoa.estimators import (EstimationResult, Spectrum, _grid_spectrum,
+                               _noise_polynomial, default_grid,
+                               estimate_doas, music_spectrum, noise_subspace,
+                               pick_peaks, root_music, save_spectrum_csv)
 from sladoa.geometry import build_mra, build_nested, build_super_nested, build_ula
 from sladoa.signal_model import (SourceScene, exact_covariance,
                                  sample_covariance, simulate_snapshots,
                                  steering_matrix)
 
 THETAS3 = (-0.8, 0.0, 0.8)
+BUILDER_GEOMETRIES = ([build_ula(n) for n in range(2, 11)]
+                      + [build_mra(n) for n in range(3, 11)]
+                      + [build_nested(2, 2), build_nested(3, 5),
+                         build_nested(4, 4), build_super_nested(4, 4),
+                         build_super_nested(5, 4), build_super_nested(6, 3)])
 
 
 def population_smoothed(geom, thetas, noise_var, a):
     scene = SourceScene.unit_powers(thetas)
     r = exact_covariance(scene, geom, noise_var)
     return vws_smooth(coarray_signal(r, geom), a)
+
+
+def sampled_noise(geom):
+    """Noise subspace and source count d at the largest window (a = 0)
+    of a seeded sample covariance with up to three sources."""
+    d = min(3, (difference_coarray(geom).udof - 1) // 2)
+    scene = SourceScene.unit_powers(tuple(np.linspace(-0.6, 0.6, d)))
+    snaps = simulate_snapshots(scene, geom, 200, 1.0, seed=5)
+    sm = vws_smooth(coarray_signal(sample_covariance(snaps), geom), 0)
+    return noise_subspace(sm, d).noise, d
+
+
+def trace_coefficients(noise):
+    """Reference root-MUSIC coefficients: diagonal sums of U_N U_N^H."""
+    m = noise.shape[0]
+    c = noise @ noise.conj().T
+    return np.array([np.trace(c, offset=k) for k in range(-(m - 1), m)])
 
 
 class TestNoiseSubspace:
@@ -89,6 +110,40 @@ class TestMusicSpectrum:
         assert path.read_text().splitlines()[0] == "theta,value"
 
 
+@pytest.mark.parametrize("geom", BUILDER_GEOMETRIES, ids=lambda g: g.name)
+class TestNoisePolynomial:
+    """The shared polynomial against the direct definitions, up to
+    mra(10) with M = 37."""
+
+    def test_coefficients_match_trace_loop(self, geom):
+        noise, _ = sampled_noise(geom)
+        ref = trace_coefficients(noise)
+        err = np.max(np.abs(_noise_polynomial(noise) - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref))
+
+    def test_grid_denominator_matches_music_spectrum(self, geom):
+        noise, _ = sampled_noise(geom)
+        m = noise.shape[0]
+        # sizes below 2M - 1 fold several lags onto one DFT bin
+        for size in (1, m, 2 * m - 2, 600, 2000):
+            grid = default_grid(size)
+            ref = 1.0 / music_spectrum(noise, grid).values
+            fast = _grid_spectrum(noise, size)
+            np.testing.assert_array_equal(fast.grid, grid)
+            assert np.max(np.abs(1.0 / fast.values - ref)) <= 1e-10 * ref.max()
+
+    @pytest.mark.parametrize("size", [600, 2000])
+    def test_grid_peaks_match_music_spectrum(self, geom, size):
+        # the nulls, where the two denominators differ most relative to
+        # their size, are where the peaks are picked
+        noise, d = sampled_noise(geom)
+        ref = pick_peaks(music_spectrum(noise, default_grid(size)), d)
+        fast = pick_peaks(_grid_spectrum(noise, size), d)
+        np.testing.assert_array_equal(fast.thetas, ref.thetas)
+        assert (fast.peaks_found, fast.fill_count) == (ref.peaks_found,
+                                                       ref.fill_count)
+
+
 class TestPickPeaks:
     def test_three_separated_peaks(self):
         grid = default_grid(100)
@@ -126,7 +181,7 @@ class TestRootMusic:
     def test_population_exact(self):
         geom = build_nested(4, 4)
         sm = population_smoothed(geom, THETAS3, 1.0, 3)
-        res = estimate_root_music(sm, 3)
+        res = root_music(noise_subspace(sm, 3).noise, 3)
         assert np.max(np.abs(res.thetas - np.array(THETAS3))) < 1e-6
 
     def test_two_by_two_hand_case(self):
@@ -138,10 +193,7 @@ class TestRootMusic:
         scene = SourceScene.unit_powers(THETAS3)
         snaps = simulate_snapshots(scene, geom, 500, 1.0, seed=9)
         sm = vws_smooth(coarray_signal(sample_covariance(snaps), geom), 3)
-        sub = noise_subspace(sm, 3)
-        m = sub.noise.shape[0]
-        c = sub.noise @ sub.noise.conj().T
-        coeffs = np.array([np.trace(c, offset=k) for k in range(-(m - 1), m)])
+        coeffs = trace_coefficients(noise_subspace(sm, 3).noise)
         roots = np.roots(coeffs[::-1])
         for z in roots:
             partner = 1.0 / np.conj(z)
@@ -167,15 +219,19 @@ class TestEndToEnd:
 
     def test_scale_invariance(self):
         geom = build_nested(4, 4)
-        sm = population_smoothed(geom, THETAS3, 1.0, 3)
-        base_m = estimate_music(sm, 3)
-        base_r = estimate_root_music(sm, 3)
+        r = exact_covariance(SourceScene.unit_powers(THETAS3), geom, 1.0)
+
+        def estimate(scale, method):
+            return estimate_doas(r * scale, geom, 3, 3, method=method)[0]
+
+        base_m = estimate(1.0, "vws-ca-music")
+        base_r = estimate(1.0, "vws-ca-rmusic")
         for scale in (1e-6, 3.7, 1e6):
-            scaled = sm.values * scale
-            np.testing.assert_array_equal(estimate_music(scaled, 3).thetas,
-                                          base_m.thetas)
-            np.testing.assert_allclose(estimate_root_music(scaled, 3).thetas,
-                                       base_r.thetas, atol=1e-6)
+            np.testing.assert_array_equal(
+                estimate(scale, "vws-ca-music").thetas, base_m.thetas)
+            np.testing.assert_allclose(
+                estimate(scale, "vws-ca-rmusic").thetas, base_r.thetas,
+                atol=1e-6)
 
     def test_more_sources_than_sensors(self):
         geom = build_nested(4, 4)           # 8 physical sensors

@@ -42,6 +42,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="axis_values:"):
             make_cfg(axis_values=()).validate()
 
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_rejects_non_finite_snr(self, snr):
+        with pytest.raises(ValueError, match="snr_db:"):
+            make_cfg(snr_db=snr).validate()
+        with pytest.raises(ValueError, match="axis_values:"):
+            make_cfg(axis_values=(0.0, snr)).validate()
+
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError, match="trials:"):
             make_cfg(trials=0).validate()
@@ -144,8 +151,8 @@ class TestOutputs:
     def test_json_sidecar(self, tmp_path):
         result = rmse_sweep(make_cfg(trials=4))
         path = tmp_path / "out.json"
-        write_sweep_json(result, path)
-        payload = json.loads(path.read_text())
+        write_sweep_json([result], path)
+        payload = json.loads(path.read_text())[0]
         assert payload["seed"] == 99
         assert payload["config"]["geometry"] == "nested(4,4)"
         assert payload["config"]["axis_values"] == [0.0, 10.0]

@@ -1,6 +1,8 @@
 """Signal model: analytic steering values, covariance identities, and
 statistical consistency at loose tolerance."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,14 @@ class TestSnr:
         assert snr_to_noise_var(0.0) == pytest.approx(1.0)
         assert snr_to_noise_var(10.0) == pytest.approx(0.1)
         assert snr_to_noise_var(-10.0) == pytest.approx(10.0)
+
+    def test_infinite_snr_is_noiseless(self):
+        assert snr_to_noise_var(math.inf) == 0.0
+
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_rejects_nan_and_negative_infinity(self, snr):
+        with pytest.raises(ValueError):
+            snr_to_noise_var(snr)
 
 
 class TestSnapshotCsv:
