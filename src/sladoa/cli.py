@@ -17,6 +17,11 @@ List values are whitespace- or comma-separated.  Recognized keys:
   trials     = 500
   seed       = 1234
   grid       = 2000
+
+``sweep`` runs one ``rmse_sweep`` per feasible (geometry, a) pair and
+writes them with the library writers: ``--out`` through
+``write_sweep_csv`` (no wall-clock column, so byte-identical for any
+``--workers``) and ``<out>.config.json`` through ``write_sweep_json``.
 """
 
 import argparse
@@ -30,7 +35,8 @@ from .estimators import (default_grid, estimate_doas, music_spectrum,
                          noise_subspace, save_spectrum_csv)
 from .geometry import (build_mra, build_nested, build_super_nested, build_ula,
                        difference_coarray, geometry_to_text)
-from .montecarlo import (ExperimentConfig, rmse_sweep, write_sweep_json)
+from .montecarlo import (ExperimentConfig, rmse_sweep, write_sweep_csv,
+                         write_sweep_json)
 from .signal_model import (SourceScene, sample_covariance,
                            simulate_snapshots, snr_to_noise_var)
 
@@ -206,8 +212,7 @@ def cmd_sweep(args) -> int:
         axis=axis, axis_values=axis_values, trials=trials, seed=seed,
         grid_size=grid)
 
-    rows = []
-    sidecars = []
+    results = []
     warnings = []
     for geom in geometries:
         for a in a_values:
@@ -219,39 +224,22 @@ def cmd_sweep(args) -> int:
                     raise
                 warnings.append(f"{geom.name} a={a}: {exc}")
                 continue
-            result = rmse_sweep(sub, workers=args.workers)
-            sidecars.append(result)
-            for av, rm, fl, tm in zip(result.axis_values, result.rmse,
-                                      result.fills, result.mean_evd_time):
-                rows.append((geom.name, method, a, av, rm, trials, fl, tm))
+            results.append(rmse_sweep(sub, workers=args.workers))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if not rows:
+    if not results:
         raise ConfigError("a/geometry: no feasible (geometry, a) combination")
 
-    if args.format == "csv":
-        import csv
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["geometry", "method", "a", "axis_value", "rmse",
-                             "trials", "fills", "mean_evd_time"])
-            for g, m, a, av, rm, k, fl, tm in rows:
-                writer.writerow([g, m, a, repr(float(av)), repr(float(rm)),
-                                 k, fl, repr(tm)])
-    else:
-        import json
-        payload = [{"geometry": g, "method": m, "a": a, "axis_value": av,
-                    "rmse": rm, "trials": k, "fills": fl, "mean_evd_time": tm}
-                   for g, m, a, av, rm, k, fl, tm in rows]
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    write_sweep_csv(results, args.out)
     sidecar_path = str(args.out) + ".config.json"
-    write_sweep_json(sidecars, sidecar_path)
-    print(f"wrote {len(rows)} rows to {args.out} (sidecar: {sidecar_path})")
+    write_sweep_json(results, sidecar_path)
+    rows = sum(len(r.axis_values) for r in results)
+    print(f"wrote {rows} rows to {args.out} (sidecar: {sidecar_path})")
     print("geometry        method          a    axis_value  rmse")
-    for g, m, a, av, rm, *_ in rows:
-        print(f"{g:<15} {m:<15} {a:<4} {av:<11} {rm:.6g}")
+    for r in results:
+        g, m, a = r.config["geometry"], r.config["method"], r.config["a"]
+        for av, rm in zip(r.axis_values, r.rmse):
+            print(f"{g:<15} {m:<15} {a:<4} {av:<11} {rm:.6g}")
     return 0
 
 
@@ -283,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="Monte Carlo RMSE sweep from a config")
     s.add_argument("config")
     s.add_argument("--out", default="sweep.csv")
-    s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--trials", type=int, default=None)
     s.add_argument("--grid", type=int, default=None)

@@ -35,9 +35,8 @@ _DENOM_FLOOR = 1e-18
 
 @dataclass(frozen=True)
 class SubspacePair:
-    """Signal/noise eigenvector split by descending eigenvalue."""
+    """Noise eigenvectors: all but those of the d largest eigenvalues."""
 
-    signal: np.ndarray
     noise: np.ndarray
 
 
@@ -76,8 +75,7 @@ def noise_subspace(r, d: int) -> SubspacePair:
     if not 0 <= d < m:
         raise ValueError(f"need 0 <= d < M, got d={d}, M={m}")
     evd = hermitian_evd(values)
-    return SubspacePair(signal=evd.eigenvectors[:, :d],
-                        noise=evd.eigenvectors[:, d:])
+    return SubspacePair(noise=evd.eigenvectors[:, d:])
 
 
 def music_spectrum(noise: np.ndarray, grid,
@@ -125,11 +123,14 @@ def pick_peaks(s: Spectrum, d: int) -> EstimationResult:
     Endpoints use one-sided comparison.  Ties break toward the smaller
     angle.  If fewer than d maxima exist, the shortfall is filled from
     the largest remaining grid values and counted in ``fill_count``.
+    A spectrum with fewer than d points raises ValueError.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     v = s.values
     n = v.size
+    if n < d:
+        raise ValueError(f"spectrum has {n} points, fewer than d={d}")
     if n == 1:
         is_max = np.array([True])
     else:

@@ -18,7 +18,6 @@ __all__ = [
     "build_mra",
     "difference_coarray",
     "geometry_to_text",
-    "geometry_from_text",
 ]
 
 
@@ -180,11 +179,3 @@ def build_mra(n: int) -> ArrayGeometry:
 def geometry_to_text(geom: ArrayGeometry) -> str:
     """One-line export: ``name: p0 p1 p2 ...``."""
     return f"{geom.name}: {' '.join(str(p) for p in geom.positions)}"
-
-
-def geometry_from_text(line: str) -> ArrayGeometry:
-    """Parse a line produced by :func:`geometry_to_text`."""
-    name, _, rest = line.partition(":")
-    if not rest.strip():
-        raise ValueError(f"bad geometry line: {line!r}")
-    return ArrayGeometry(name.strip(), tuple(int(t) for t in rest.split()))

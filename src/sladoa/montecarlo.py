@@ -7,9 +7,11 @@ per trial and reduced in a fixed order, keeping the float summation
 deterministic under parallelism.
 """
 
+import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -24,7 +26,6 @@ __all__ = [
     "SweepResult",
     "run_trial",
     "rmse_sweep",
-    "compare_geometries",
     "write_sweep_csv",
     "write_sweep_json",
 ]
@@ -94,7 +95,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """RMSE curve with per-axis fill counts and EVD timing."""
+    """RMSE curve with per-axis fill counts and EVD timing.
+
+    ``mean_evd_time`` is wall-clock time: it goes to the JSON sidecar
+    and never to the CSV, which stays byte-identical run to run.
+    """
 
     axis: str
     axis_values: tuple[float, ...]
@@ -147,25 +152,15 @@ def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     sources), no outlier rejection."""
     cfg.validate()
     k, d = cfg.trials, len(cfg.thetas)
+    bounds = np.linspace(0, k, max(workers, 1) + 1, dtype=int).tolist()
     rmse, fills, mean_t = [], [], []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
+        run = map if pool is None else pool.map
         for ai, av in enumerate(cfg.axis_values):
-            sq = np.empty((k, d))
-            fl = np.empty(k, dtype=int)
-            tm = np.empty(k)
-            if pool is None:
-                sq, fl, tm = _run_chunk(cfg, av, ai, 0, k)
-            else:
-                bounds = np.linspace(0, k, workers + 1, dtype=int)
-                futs = [pool.submit(_run_chunk, cfg, av, ai, int(lo), int(hi))
-                        for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-                off = 0
-                for fut in futs:
-                    csq, cfl, ctm = fut.result()
-                    n = csq.shape[0]
-                    sq[off:off + n], fl[off:off + n], tm[off:off + n] = csq, cfl, ctm
-                    off += n
+            chunks = run(_run_chunk, repeat(cfg), repeat(av), repeat(ai),
+                         bounds[:-1], bounds[1:])
+            sq, fl, tm = (np.concatenate(parts) for parts in zip(*chunks))
             rmse.append(float(np.sqrt(np.sum(sq) / (k * d))))
             fills.append(int(np.sum(fl)))
             mean_t.append(float(np.mean(tm)))
@@ -176,25 +171,6 @@ def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
                        rmse=tuple(rmse), fills=tuple(fills), trials=k,
                        mean_evd_time=tuple(mean_t), seed=cfg.seed,
                        config=config_echo(cfg))
-
-
-def compare_geometries(cfg: ExperimentConfig, geometries,
-                       workers: int = 1):
-    """One sweep per geometry with shared per-trial seeds.
-
-    Returns (results, warnings): infeasible geometries are skipped and
-    reported as warning strings, the rest proceed.
-    """
-    results, warnings = [], []
-    for geom in geometries:
-        sub = replace(cfg, geometry=geom)
-        try:
-            sub.validate()
-        except ValueError as exc:
-            warnings.append(f"{geom.name}: {exc}")
-            continue
-        results.append((geom.name, rmse_sweep(sub, workers=workers)))
-    return results, warnings
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
@@ -215,19 +191,24 @@ def config_echo(cfg: ExperimentConfig) -> dict:
     }
 
 
-def write_sweep_csv(result: SweepResult, path, timing: bool = True) -> None:
-    """CSV columns: axis_value,rmse,trials,fills,mean_evd_time.
+def write_sweep_csv(results, path) -> None:
+    """CSV with one row per (run, axis point) of a sequence of
+    SweepResults; columns geometry,method,a,axis_value,rmse,trials,fills.
 
-    Wall-clock timing is a diagnostic and not reproducible run to run;
-    pass timing=False to write 0.0 there when byte-identical output
-    matters.
+    Floats are written with ``repr`` and no wall-clock column is
+    written, so the file is byte-identical for any worker count.
     """
-    with open(path, "w") as fh:
-        fh.write("axis_value,rmse,trials,fills,mean_evd_time\n")
-        for av, rm, fl, tm in zip(result.axis_values, result.rmse,
-                                  result.fills, result.mean_evd_time):
-            t = float(tm) if timing else 0.0
-            fh.write(f"{float(av)!r},{float(rm)!r},{result.trials},{fl},{t!r}\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["geometry", "method", "a", "axis_value", "rmse",
+                         "trials", "fills"])
+        for result in results:
+            c = result.config
+            for av, rm, fl in zip(result.axis_values, result.rmse,
+                                  result.fills):
+                writer.writerow([c["geometry"], c["method"], c["a"],
+                                 repr(float(av)), repr(float(rm)),
+                                 result.trials, fl])
 
 
 def write_sweep_json(results, path) -> None:

@@ -21,8 +21,6 @@ __all__ = [
     "exact_covariance",
     "sample_covariance",
     "snr_to_noise_var",
-    "save_snapshots_csv",
-    "load_snapshots_csv",
 ]
 
 
@@ -132,34 +130,11 @@ def sample_covariance(x: SnapshotSet) -> np.ndarray:
 
 def snr_to_noise_var(snr_db: float) -> float:
     """Noise variance for unit-power sources at the given SNR in dB."""
+    snr_db = float(snr_db)
     if np.isnan(snr_db) or snr_db == -np.inf:
         raise ValueError(f"snr_db: must be a number or +inf, got {snr_db}")
-    return float(10.0 ** (-snr_db / 10.0))
-
-
-def save_snapshots_csv(x: SnapshotSet, path) -> None:
-    """Write snapshots as CSV: header line ``N,T``, then one row per
-    sensor with T interleaved real,imag values."""
-    data = x.data
-    with open(path, "w") as fh:
-        fh.write(f"{data.shape[0]},{data.shape[1]}\n")
-        for row in data:
-            inter = np.empty(2 * row.size)
-            inter[0::2] = row.real
-            inter[1::2] = row.imag
-            fh.write(",".join(repr(float(v)) for v in inter) + "\n")
-
-
-def load_snapshots_csv(path, geom: ArrayGeometry) -> SnapshotSet:
-    """Read snapshots written by :func:`save_snapshots_csv`."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        n, t = (int(v) for v in header.split(","))
-        rows = []
-        for _ in range(n):
-            vals = np.array([float(v) for v in fh.readline().split(",")])
-            rows.append(vals[0::2] + 1j * vals[1::2])
-    data = np.array(rows)
-    if data.shape != (n, t):
-        raise ValueError("snapshot file shape does not match its header")
-    return SnapshotSet(data, geom)
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db: {snr_db} dB overflows the noise "
+                         "variance") from None

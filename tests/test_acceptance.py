@@ -14,13 +14,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sladoa.coarray import (coarray_signal, decompose_oracle, max_shrinkage,
+from sladoa.coarray import (coarray_signal, max_shrinkage,
                             population_coarray_signal, vws_smooth)
 from sladoa.estimators import (estimate_doas, noise_subspace)
 from sladoa.geometry import (build_mra, build_nested, build_super_nested,
                              difference_coarray)
 from sladoa.montecarlo import (ExperimentConfig, rmse_sweep, write_sweep_csv)
 from sladoa.signal_model import SourceScene, exact_covariance, steering_matrix
+
+from reference import decompose_oracle
 
 SEED = 20260826
 THETAS3 = (-0.8, 0.0, 0.8)
@@ -208,8 +210,8 @@ class TestAcceptance:
 
         for i, key in enumerate(originals):
             p1, p2 = tmp_path / f"a{i}.csv", tmp_path / f"b{i}.csv"
-            write_sweep_csv(originals[key], p1, timing=False)
-            write_sweep_csv(reruns[key], p2, timing=False)
+            write_sweep_csv([originals[key]], p1)
+            write_sweep_csv([reruns[key]], p2)
             assert p1.read_bytes() == p2.read_bytes(), key
         report(10, f"{len(originals)} sweep CSVs byte-identical "
                    f"across 1 vs 2 workers")

@@ -114,11 +114,17 @@ class TestEstimateCommand:
         assert main(["estimate", cfg]) == 2
         assert "thetas" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("snr", ["nan", "-inf"])
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "-4000"])
     def test_non_finite_snr_exits_2(self, tmp_path, capsys, snr):
         cfg = self.write_cfg(tmp_path, ESTIMATE_CFG + f"snr_db = {snr}\n")
         assert main(["estimate", cfg]) == 2
         assert "snr_db" in capsys.readouterr().err
+
+    def test_grid_smaller_than_sources_exits_2(self, tmp_path, capsys):
+        text = ESTIMATE_CFG.replace("vws-ca-rmusic", "vws-ca-music")
+        cfg = self.write_cfg(tmp_path, text + "grid = 2\n")
+        assert main(["estimate", cfg]) == 2
+        assert "fewer than d=3" in capsys.readouterr().err
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["estimate", str(tmp_path / "nope.txt")]) == 1
@@ -136,13 +142,24 @@ class TestSweepCommand:
         code, out, _ = self.run_sweep(tmp_path, capsys)
         assert code == 0
         lines = out.read_text().splitlines()
-        header = "geometry,method,a,axis_value,rmse,trials,fills,mean_evd_time"
+        header = "geometry,method,a,axis_value,rmse,trials,fills"
         assert lines[0] == header
         # 2 geometries x 2 a values x 2 SNR points
         assert len(lines) == 9
         with open(out, newline="") as fh:
             names = {row[0] for row in csv.reader(fh)} - {"geometry"}
         assert names == {"nested(4,4)", "mra(8)"}
+
+    def test_csv_identical_across_workers(self, tmp_path, capsys):
+        outs = []
+        for workers in ("1", "2"):
+            sub = tmp_path / f"w{workers}"
+            sub.mkdir()
+            code, out, _ = self.run_sweep(sub, capsys,
+                                          extra=["--workers", workers])
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_sidecar_written(self, tmp_path, capsys):
         _, out, _ = self.run_sweep(tmp_path, capsys)

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from sladoa.coarray import (CoarraySignal, SmoothingPlan, coarray_signal,
-                            decompose_oracle, max_shrinkage,
-                            population_coarray_signal,
-                            save_coarray_signal_csv, vws_smooth)
+                            max_shrinkage, population_coarray_signal,
+                            vws_smooth)
 from sladoa.geometry import (ArrayGeometry, build_mra, build_nested,
                              build_super_nested, build_ula,
                              difference_coarray)
 from sladoa.numerics import hermitian_evd
 from sladoa.signal_model import SourceScene, exact_covariance, steering_matrix
+
+from reference import decompose_oracle
 
 
 def scene_for(d):
@@ -78,15 +79,6 @@ class TestCoarraySignal:
         a = population_signal(scene, geom, 0.5)
         b = population_coarray_signal(scene, difference_coarray(geom), 0.5)
         np.testing.assert_allclose(a.values, b.values, atol=1e-12)
-
-    def test_csv_export(self, tmp_path):
-        geom = build_nested(2, 2)
-        x = population_signal(scene_for(1), geom, 0.2)
-        path = tmp_path / "coarray.csv"
-        save_coarray_signal_csv(x, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "lag,real,imag"
-        assert len(lines) == 1 + x.coarray.udof
 
 
 class TestSmoothingPlan:

@@ -57,10 +57,9 @@ class TestNoiseSubspace:
 
     def test_identity_any_split_valid(self):
         sub = noise_subspace(np.eye(5), 1)
-        assert sub.signal.shape == (5, 1)
         assert sub.noise.shape == (5, 4)
-        q = np.hstack([sub.signal, sub.noise])
-        np.testing.assert_allclose(q.conj().T @ q, np.eye(5), atol=1e-10)
+        np.testing.assert_allclose(sub.noise.conj().T @ sub.noise, np.eye(4),
+                                   atol=1e-10)
 
     def test_single_noise_vector(self):
         sub = noise_subspace(np.diag([4.0, 3.0, 2.0, 1.0]), 3)
@@ -175,6 +174,11 @@ class TestPickPeaks:
         v[[30, 60]] = 5.0
         res = pick_peaks(Spectrum(grid, v), 1)
         assert res.thetas[0] == grid[30]
+
+    def test_rejects_fewer_points_than_sources(self):
+        grid = default_grid(2)
+        with pytest.raises(ValueError, match="fewer than d=3"):
+            pick_peaks(Spectrum(grid, np.array([1.0, 2.0])), 3)
 
 
 class TestRootMusic:

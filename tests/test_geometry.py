@@ -7,8 +7,7 @@ import pytest
 
 from sladoa.geometry import (ArrayGeometry, build_mra, build_nested,
                              build_super_nested, build_ula,
-                             difference_coarray, geometry_from_text,
-                             geometry_to_text, _MRA_TABLE)
+                             difference_coarray, _MRA_TABLE)
 
 
 def brute_lags(positions):
@@ -35,15 +34,6 @@ class TestArrayGeometry:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             ArrayGeometry("x", (1, 2, 5))
-
-    def test_text_roundtrip(self):
-        geom = build_mra(6)
-        again = geometry_from_text(geometry_to_text(geom))
-        assert again == geom
-
-    def test_text_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            geometry_from_text("no positions here")
 
 
 class TestUla:
