@@ -4,7 +4,10 @@ and Monte Carlo sweeps.
 Exit codes: 0 success, 1 I/O or runtime failure, 2 validation failure.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment.
-List values are whitespace- or comma-separated.  Recognized keys:
+List values are whitespace- or comma-separated.  Both commands read
+these keys through one reader, which yields one ``ExperimentConfig`` per
+(geometry, a); an unknown key exits 2, and ``estimate`` takes one
+geometry, one a and one axis value:
 
   geometry   = nested 4 4 | super-nested 4 4 | mra 8 | ula 8
                (sweeps may list several, separated by ';')
@@ -13,7 +16,7 @@ List values are whitespace- or comma-separated.  Recognized keys:
   method     = vws-ca-music | vws-ca-rmusic
   a          = 3                (sweeps may list several values)
   snapshots  = 1000             (list -> snapshot-count axis)
-  snr_db     = 10               (list -> SNR axis)
+  snr_db     = 10               (list -> SNR axis; estimate default +inf)
   trials     = 500
   seed       = 1234
   grid       = 2000
@@ -27,7 +30,6 @@ writes them with the library writers: ``--out`` through
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .coarray import (coarray_signal, max_shrinkage, vws_smooth)
@@ -37,8 +39,8 @@ from .geometry import (build_mra, build_nested, build_super_nested, build_ula,
                        difference_coarray, geometry_to_text)
 from .montecarlo import (ExperimentConfig, rmse_sweep, write_sweep_csv,
                          write_sweep_json)
-from .signal_model import (SourceScene, sample_covariance,
-                           simulate_snapshots, snr_to_noise_var)
+from .signal_model import (sample_covariance, simulate_snapshots,
+                           snr_to_noise_var)
 
 
 class ConfigError(ValueError):
@@ -87,6 +89,8 @@ def _floats(cfg, key, default=None):
         if default is None:
             raise ConfigError(f"{key}: missing required key")
         return default
+    if not cfg[key]:
+        raise ConfigError(f"{key}: empty list")
     try:
         return [float(v) for v in cfg[key]]
     except ValueError:
@@ -95,7 +99,7 @@ def _floats(cfg, key, default=None):
 
 def _ints(cfg, key, default=None):
     vals = _floats(cfg, key, default)
-    if any(v != int(v) for v in vals):
+    if not all(float(v).is_integer() for v in vals):
         raise ConfigError(f"{key}: expected integers")
     return [int(v) for v in vals]
 
@@ -131,40 +135,66 @@ def cmd_geometry(args) -> int:
     return 0
 
 
-def _load_scene(cfg) -> SourceScene:
+_KEYS = ("geometry", "thetas", "powers", "method", "a", "snapshots",
+         "snr_db", "trials", "seed", "grid")
+
+
+def _read_runs(args, snr_default) -> list:
+    """One unvalidated ExperimentConfig per (geometry, a) of the config
+    file, in file order; ``--seed``/``--grid``/``--trials`` override the
+    file.  Only token shape is checked here; value rules are
+    ``ExperimentConfig.validate``'s."""
+    with open(args.config) as fh:
+        cfg = parse_config(fh.read())
+    for key in cfg:
+        if key not in _KEYS:
+            raise ConfigError(f"{key}: unknown key; known keys are "
+                              f"{', '.join(_KEYS)}")
+    geom_specs = [g.split() for g in
+                  " ".join(cfg.get("geometry", [])).split(";") if g.split()]
+    if not geom_specs:
+        raise ConfigError("geometry: missing required key")
+    geometries = [parse_geometry(spec) for spec in geom_specs]
     thetas = _floats(cfg, "thetas")
-    powers = _floats(cfg, "powers", [1.0] * len(thetas))
-    try:
-        return SourceScene(tuple(thetas), tuple(powers))
-    except ValueError as exc:
-        raise ConfigError(f"thetas/powers: {exc}")
+    a_values = _ints(cfg, "a", [0])
+    snr_vals = _floats(cfg, "snr_db", [snr_default])
+    snap_vals = _ints(cfg, "snapshots", [1000])
+    if len(snr_vals) > 1 and len(snap_vals) > 1:
+        raise ConfigError("snr_db/snapshots: only one may be a list (the axis)")
+    if len(snap_vals) > 1:
+        axis, axis_values = "snapshots", snap_vals
+    else:
+        axis, axis_values = "snr", snr_vals
+
+    def setting(key, default, flag):        # a command-line flag beats the file
+        return (flag if flag is not None
+                else _scalar(_ints(cfg, key, [default]), key))
+
+    shared = dict(
+        thetas=thetas, powers=_floats(cfg, "powers", [1.0] * len(thetas)),
+        method=_scalar(cfg.get("method", ["vws-ca-rmusic"]), "method"),
+        snapshots=snap_vals[0], snr_db=snr_vals[0], axis=axis,
+        axis_values=tuple(float(v) for v in axis_values),
+        trials=setting("trials", 500, getattr(args, "trials", None)),
+        seed=setting("seed", 0, args.seed),
+        grid_size=setting("grid", 2000, args.grid))
+    return [ExperimentConfig(geometry=geom, a=a, **shared)
+            for geom in geometries for a in a_values]
 
 
 def cmd_estimate(args) -> int:
-    cfg = parse_config(open(args.config).read())
-    geoms = cfg.get("geometry", [])
-    if ";" in " ".join(geoms):
-        raise ConfigError("geometry: estimate takes a single geometry")
-    geom = parse_geometry(geoms)
-    scene = _load_scene(cfg)
-    method = _scalar(cfg.get("method", ["vws-ca-rmusic"]), "method")
-    if method not in ("vws-ca-music", "vws-ca-rmusic"):
-        raise ConfigError(f"method: unknown method {method!r}")
-    a = _scalar(_ints(cfg, "a", [0]), "a")
-    t = _scalar(_ints(cfg, "snapshots", [1000]), "snapshots")
-    snr_db = _scalar(_floats(cfg, "snr_db", [math.inf]), "snr_db")
-    seed = args.seed if args.seed is not None else _scalar(_ints(cfg, "seed", [0]), "seed")
-    grid = args.grid if args.grid is not None else _scalar(_ints(cfg, "grid", [2000]), "grid")
-
-    ca = difference_coarray(geom)
-    amax = max_shrinkage(ca.udof, scene.d)
-    if not 0 <= a <= amax:
-        raise ConfigError(f"a: shrinkage {a} infeasible; maximum a is {amax}")
-
-    noise_var = snr_to_noise_var(snr_db)
-    snaps = simulate_snapshots(scene, geom, t, noise_var, seed)
+    runs = _read_runs(args, snr_default=math.inf)
+    if len(runs) != 1 or len(runs[0].axis_values) != 1:
+        raise ConfigError("geometry/a/snr_db/snapshots: estimate takes one "
+                          "geometry, one a and one axis value")
+    run = runs[0]
+    run.validate()
+    geom, d = run.geometry, len(run.thetas)
+    snaps = simulate_snapshots(run.scene, geom, run.snapshots,
+                               snr_to_noise_var(run.snr_db), run.seed)
     r = sample_covariance(snaps)
-    result, _ = estimate_doas(r, geom, scene.d, a, method=method, grid_size=grid)
+    result, _ = estimate_doas(r, geom, d, run.a, method=run.method,
+                              grid_size=run.grid_size)
 
     values = result.thetas
     if args.degrees:
@@ -174,57 +204,25 @@ def cmd_estimate(args) -> int:
     print(f"estimates ({unit}): " + " ".join(f"{v:.6f}" for v in values))
     print(f"method: {result.method}  fill_count: {result.fill_count}")
     if args.spectrum_out:
-        sub = noise_subspace(vws_smooth(coarray_signal(r, geom), a), scene.d)
-        save_spectrum_csv(music_spectrum(sub.noise, default_grid(grid)),
-                          args.spectrum_out)
+        sub = noise_subspace(vws_smooth(coarray_signal(r, geom), run.a), d)
+        grid = default_grid(run.grid_size)
+        save_spectrum_csv(music_spectrum(sub.noise, grid), args.spectrum_out)
         print(f"spectrum written to {args.spectrum_out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = parse_config(open(args.config).read())
-    geom_specs = [g.split() for g in
-                  " ".join(cfg.get("geometry", [])).split(";") if g.split()]
-    if not geom_specs:
-        raise ConfigError("geometry: missing required key")
-    geometries = [parse_geometry(spec) for spec in geom_specs]
-    scene = _load_scene(cfg)
-    method = _scalar(cfg.get("method", ["vws-ca-rmusic"]), "method")
-    a_values = _ints(cfg, "a", [0])
-    snr_vals = _floats(cfg, "snr_db", [10.0])
-    snap_vals = _ints(cfg, "snapshots", [1000])
-    if not snr_vals or not snap_vals:
-        raise ConfigError("snr_db/snapshots: empty list")
-    if len(snr_vals) > 1 and len(snap_vals) > 1:
-        raise ConfigError("snr_db/snapshots: only one may be a list (the axis)")
-    snapshots, snr_db = snap_vals[0], snr_vals[0]
-    if len(snap_vals) > 1:
-        axis, axis_values = "snapshots", tuple(float(v) for v in snap_vals)
-    else:
-        axis, axis_values = "snr", tuple(snr_vals)
-    trials = args.trials if args.trials is not None else _scalar(_ints(cfg, "trials", [500]), "trials")
-    seed = args.seed if args.seed is not None else _scalar(_ints(cfg, "seed", [0]), "seed")
-    grid = args.grid if args.grid is not None else _scalar(_ints(cfg, "grid", [2000]), "grid")
-
-    base = ExperimentConfig(
-        geometry=geometries[0], thetas=scene.thetas, powers=scene.powers,
-        method=method, a=a_values[0], snapshots=snapshots, snr_db=snr_db,
-        axis=axis, axis_values=axis_values, trials=trials, seed=seed,
-        grid_size=grid)
-
     results = []
     warnings = []
-    for geom in geometries:
-        for a in a_values:
-            sub = replace(base, geometry=geom, a=a)
-            try:
-                sub.validate()
-            except ValueError as exc:
-                if not str(exc).startswith("a:"):   # not per-combination
-                    raise
-                warnings.append(f"{geom.name} a={a}: {exc}")
-                continue
-            results.append(rmse_sweep(sub, workers=args.workers))
+    for run in _read_runs(args, snr_default=10.0):
+        try:
+            run.validate()
+        except ValueError as exc:
+            if not str(exc).startswith("a:"):   # not per-combination
+                raise
+            warnings.append(f"{run.geometry.name} a={run.a}: {exc}")
+            continue
+        results.append(rmse_sweep(run, workers=args.workers))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if not results:

@@ -42,12 +42,6 @@ class CoarraySignal:
             raise ValueError("values length must equal the UDOF")
         object.__setattr__(self, "values", v)
 
-    def at_lag(self, lag: int) -> complex:
-        g = self.coarray.g
-        if abs(lag) >= g:
-            raise ValueError(f"lag {lag} outside contiguous segment")
-        return self.values[lag + g - 1]
-
 
 @dataclass(frozen=True)
 class SmoothingPlan:

@@ -63,34 +63,48 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise ValueError naming the offending field."""
-        _ = self.scene                              # validates thetas/powers
+        try:
+            self.scene
+        except ValueError as exc:
+            raise ValueError(f"thetas/powers: {exc}") from None
+        d = len(self.thetas)
         if self.method not in _METHODS:
             raise ValueError(f"method: must be one of {_METHODS}")
         if self.axis not in _AXES:
             raise ValueError(f"axis: must be one of {_AXES}")
         if len(self.axis_values) == 0:
             raise ValueError("axis_values: must be nonempty")
-        if self.axis == "snapshots" and any(v < 1 for v in self.axis_values):
-            raise ValueError("axis_values: snapshot counts must be >= 1")
+        snr_to_noise_var(self.snr_db)           # its error names snr_db
+        if self.axis == "snapshots" and not all(
+                _is_count(v) for v in self.axis_values):
+            raise ValueError("axis_values: snapshot counts must be "
+                             "integers >= 1")
         try:
             for v in self.axis_values if self.axis == "snr" else ():
                 snr_to_noise_var(v)
         except ValueError as exc:
             raise ValueError(f"axis_values: {exc}") from None
-        snr_to_noise_var(self.snr_db)           # its error names snr_db
-        if self.snapshots < 1:
-            raise ValueError("snapshots: must be >= 1")
+        if not _is_count(self.snapshots):
+            raise ValueError("snapshots: must be an integer >= 1")
         if self.trials < 1:
             raise ValueError("trials: must be >= 1")
         if self.grid_size < 2:
             raise ValueError("grid_size: must be >= 2")
+        if self.method == "vws-ca-music" and self.grid_size < d:
+            raise ValueError(f"grid_size: {self.grid_size} points, "
+                             f"fewer than d={d} sources")
         ca = difference_coarray(self.geometry)
-        amax = max_shrinkage(ca.udof, len(self.thetas))
+        amax = max_shrinkage(ca.udof, d)
         if not 0 <= self.a <= amax:
             raise ValueError(
                 f"a: shrinkage {self.a} infeasible for UDOF={ca.udof}, "
-                f"D={len(self.thetas)}; maximum a is {amax}"
+                f"D={d}; maximum a is {amax}"
             )
+
+
+def _is_count(v) -> bool:
+    """True for an integer-valued number >= 1 (100.0 counts, 100.7 not)."""
+    return float(v).is_integer() and v >= 1
 
 
 @dataclass(frozen=True)
@@ -149,10 +163,15 @@ def _run_chunk(cfg: ExperimentConfig, axis_value, axis_index: int,
 
 def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """RMSE over the axis: sqrt(mean of squared errors over trials and
-    sources), no outlier rejection."""
+    sources), no outlier rejection.  ``workers > 1`` splits the trials
+    over min(workers, trials) processes; ``workers < 1`` raises
+    ValueError."""
     cfg.validate()
+    if workers < 1:
+        raise ValueError("workers: must be >= 1")
     k, d = cfg.trials, len(cfg.thetas)
-    bounds = np.linspace(0, k, max(workers, 1) + 1, dtype=int).tolist()
+    workers = min(workers, k)               # an idle worker is a wasted fork
+    bounds = np.linspace(0, k, workers + 1, dtype=int).tolist()
     rmse, fills, mean_t = [], [], []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:

@@ -7,15 +7,13 @@ sweeps through module-scoped fixtures; the determinism criterion reruns
 the same sweeps with two workers and compares CSV bytes.
 """
 
-import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sladoa.coarray import (coarray_signal, max_shrinkage,
-                            population_coarray_signal, vws_smooth)
+from sladoa.coarray import (max_shrinkage, population_coarray_signal,
+                            vws_smooth)
 from sladoa.estimators import (estimate_doas, noise_subspace)
 from sladoa.geometry import (build_mra, build_nested, build_super_nested,
                              difference_coarray)

@@ -32,6 +32,39 @@ seed = 11
 grid = 600
 """
 
+# ``estimate``'s stdout for ESTIMATE_CFG, pinned so that any change to how
+# the config is read and the snapshots are drawn shows up here.
+ESTIMATE_GOLDEN = {
+    "vws-ca-rmusic": "estimates (sine units): -0.797964 -0.001251 0.799083\n"
+                     "method: vws-ca-rmusic  fill_count: 0\n",
+    "vws-ca-music": "estimates (sine units): -0.798000 -0.001000 0.799000\n"
+                    "method: vws-ca-music  fill_count: 0\n",
+}
+
+# (edit to ESTIMATE_CFG, text stderr must contain): each is rejected with
+# exit 2 by both ``estimate`` and ``sweep``.
+INVALID_SETTINGS = [
+    (("a = 3", "a = 17"), "a: shrinkage 17"),
+    (("vws-ca-rmusic", "esprit"), "method:"),
+    (("seed = 7", "seed = 7\nsnr_db = nan"), "snr_db:"),
+    (("vws-ca-rmusic", "vws-ca-music\ngrid = 2"), "grid_size:"),
+    (("snapshots = 400", "snapshots = 0"), "snapshots:"),
+    (("seed = 7", "seed = 7\nsnr = 5"), "snr: unknown key"),
+]
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+@pytest.mark.parametrize("edit,field", INVALID_SETTINGS,
+                         ids=["a", "method", "snr_db", "grid", "snapshots",
+                              "unknown_key"])
+def test_invalid_setting_exits_2(tmp_path, capsys, command, edit, field):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(ESTIMATE_CFG.replace(*edit))
+    extra = ["--out", str(tmp_path / "out.csv")] if command == "sweep" else []
+    assert main([command, str(cfg)] + extra) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
 
 class TestParsing:
     def test_parse_config_comments_and_commas(self):
@@ -83,6 +116,18 @@ class TestEstimateCommand:
         values = [float(v) for v in line.split(":")[1].split()]
         # noiseless but finite snapshots: source cross-terms leave ~1e-3
         assert values == pytest.approx([-0.8, 0.0, 0.8], abs=5e-3)
+
+    @pytest.mark.parametrize("method", sorted(ESTIMATE_GOLDEN))
+    def test_golden_output(self, tmp_path, capsys, method):
+        cfg = self.write_cfg(tmp_path,
+                             ESTIMATE_CFG.replace("vws-ca-rmusic", method))
+        assert main(["estimate", cfg]) == 0
+        assert capsys.readouterr().out == ESTIMATE_GOLDEN[method]
+
+    def test_two_runs_exit_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, ESTIMATE_CFG.replace("a = 3", "a = 0 3"))
+        assert main(["estimate", cfg]) == 2
+        assert "estimate takes one geometry" in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)
@@ -186,6 +231,25 @@ class TestSweepCommand:
                                            extra=["--trials", "0"])
         assert code == 2
         assert "trials:" in captured.err and "warning" not in captured.err
+
+    def test_music_grid_below_sources_exits_before_pool(
+            self, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        monkeypatch.setattr("sladoa.montecarlo.ProcessPoolExecutor", no_pool)
+        text = SWEEP_CFG.replace("grid = 600", "grid = 2")
+        code, _, captured = self.run_sweep(tmp_path, capsys, text,
+                                           extra=["--workers", "2"])
+        assert code == 2
+        assert "grid_size" in captured.err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
+        code, _, captured = self.run_sweep(tmp_path, capsys,
+                                           extra=["--workers", workers])
+        assert code == 2
+        assert "workers:" in captured.err
 
     def test_empty_snr_list_exits_2(self, tmp_path, capsys):
         text = SWEEP_CFG.replace("snr_db = 0 10", "snr_db =")

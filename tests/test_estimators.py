@@ -4,11 +4,9 @@ resolved exactly (up to grid resolution for MUSIC)."""
 import numpy as np
 import pytest
 
-from sladoa.coarray import (coarray_signal, difference_coarray, max_shrinkage,
-                            vws_smooth)
-from sladoa.estimators import (EstimationResult, Spectrum, _grid_spectrum,
-                               _noise_polynomial, default_grid,
-                               estimate_doas, music_spectrum, noise_subspace,
+from sladoa.coarray import coarray_signal, difference_coarray, vws_smooth
+from sladoa.estimators import (Spectrum, _grid_spectrum, _noise_polynomial,
+                               default_grid, estimate_doas, music_spectrum, noise_subspace,
                                pick_peaks, root_music, save_spectrum_csv)
 from sladoa.geometry import build_mra, build_nested, build_super_nested, build_ula
 from sladoa.signal_model import (SourceScene, exact_covariance,

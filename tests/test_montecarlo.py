@@ -53,6 +53,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="trials:"):
             make_cfg(trials=0).validate()
 
+    def test_rejects_non_integer_snapshots(self):
+        with pytest.raises(ValueError, match="snapshots:"):
+            make_cfg(snapshots=100.9).validate()
+        with pytest.raises(ValueError, match="axis_values:"):
+            make_cfg(axis="snapshots", axis_values=(100.7,)).validate()
+        make_cfg(axis="snapshots", axis_values=(100.0, 200.0)).validate()
+
+    def test_rejects_music_grid_below_sources(self):
+        with pytest.raises(ValueError, match="grid_size:.*fewer than d=3"):
+            make_cfg(method="vws-ca-music", grid_size=2).validate()
+        make_cfg(method="vws-ca-music", grid_size=3).validate()
+        make_cfg(method="vws-ca-rmusic", grid_size=2).validate()
+
 
 class TestRunTrial:
     def test_noiseless_nearly_exact(self):
@@ -96,6 +109,30 @@ class TestRmseSweep:
         r2 = rmse_sweep(cfg, workers=3)
         assert r1.rmse == r2.rmse
         assert r1.fills == r2.fills
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers:"):
+            rmse_sweep(make_cfg(trials=2), workers=workers)
+
+    def test_pool_capped_at_trials(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Records its size and maps in this process."""
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+            map = staticmethod(map)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr("sladoa.montecarlo.ProcessPoolExecutor",
+                            InProcessPool)
+        cfg = make_cfg(trials=4)
+        capped = rmse_sweep(cfg, workers=64)
+        assert sizes == [4]
+        assert capped.rmse == rmse_sweep(cfg, workers=1).rmse
 
     def test_snr_monotonicity_smoke(self):
         cfg = make_cfg(axis_values=(-10.0, 20.0), trials=60)
