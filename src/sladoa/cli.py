@@ -204,9 +204,10 @@ def cmd_estimate(args) -> int:
     print(f"estimates ({unit}): " + " ".join(f"{v:.6f}" for v in values))
     print(f"method: {result.method}  fill_count: {result.fill_count}")
     if args.spectrum_out:
-        sub = noise_subspace(vws_smooth(coarray_signal(r, geom), run.a), d)
-        grid = default_grid(run.grid_size)
-        save_spectrum_csv(music_spectrum(sub.noise, grid), args.spectrum_out)
+        sm = vws_smooth(coarray_signal(r, geom), run.a)
+        spectrum = music_spectrum(noise_subspace(sm.values, d),
+                                  default_grid(run.grid_size))
+        save_spectrum_csv(spectrum, args.spectrum_out)
         print(f"spectrum written to {args.spectrum_out}")
     return 0
 
@@ -231,13 +232,14 @@ def cmd_sweep(args) -> int:
     write_sweep_csv(results, args.out)
     sidecar_path = str(args.out) + ".config.json"
     write_sweep_json(results, sidecar_path)
-    rows = sum(len(r.axis_values) for r in results)
+    rows = sum(len(r.config.axis_values) for r in results)
     print(f"wrote {rows} rows to {args.out} (sidecar: {sidecar_path})")
     print("geometry        method          a    axis_value  rmse")
     for r in results:
-        g, m, a = r.config["geometry"], r.config["method"], r.config["a"]
-        for av, rm in zip(r.axis_values, r.rmse):
-            print(f"{g:<15} {m:<15} {a:<4} {av:<11} {rm:.6g}")
+        c = r.config
+        for av, rm in zip(c.axis_values, r.rmse):
+            print(f"{c.geometry.name:<15} {c.method:<15} {c.a:<4} {av:<11} "
+                  f"{rm:.6g}")
     return 0
 
 

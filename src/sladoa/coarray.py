@@ -16,14 +16,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import ArrayGeometry, Coarray, difference_coarray
-from .signal_model import SourceScene, steering_matrix
 
 __all__ = [
     "CoarraySignal",
     "SmoothingPlan",
     "SmoothedMatrix",
     "coarray_signal",
-    "population_coarray_signal",
     "vws_smooth",
     "max_shrinkage",
 ]
@@ -119,16 +117,6 @@ def coarray_signal(r: np.ndarray, geom: ArrayGeometry) -> CoarraySignal:
     values = np.zeros(ca.udof, dtype=complex)
     np.add.at(values, bins, r.ravel()[flat])
     return CoarraySignal(values / counts, ca)
-
-
-def population_coarray_signal(scene: SourceScene, coarray: Coarray,
-                              noise_var: float) -> CoarraySignal:
-    """Exact coarray signal sum_d p_d exp(j*pi*l*theta_d) + noise spike."""
-    lags = np.asarray(coarray.contiguous_lags)
-    a = steering_matrix(lags, scene.thetas, sign=+1)
-    values = a @ np.asarray(scene.powers, dtype=complex)
-    values[coarray.g - 1] += noise_var
-    return CoarraySignal(values, coarray)
 
 
 def vws_smooth(x: CoarraySignal, a: int) -> SmoothedMatrix:

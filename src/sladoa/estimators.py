@@ -13,12 +13,11 @@ from typing import Optional
 
 import numpy as np
 
-from .coarray import SmoothedMatrix, coarray_signal, vws_smooth
+from .coarray import coarray_signal, vws_smooth
 from .geometry import ArrayGeometry
 from .numerics import hermitian_evd, polynomial_roots
 
 __all__ = [
-    "SubspacePair",
     "Spectrum",
     "EstimationResult",
     "default_grid",
@@ -31,13 +30,6 @@ __all__ = [
 ]
 
 _DENOM_FLOOR = 1e-18
-
-
-@dataclass(frozen=True)
-class SubspacePair:
-    """Noise eigenvectors: all but those of the d largest eigenvalues."""
-
-    noise: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -68,14 +60,13 @@ def default_grid(size: int = 2000) -> np.ndarray:
     return -1.0 + 2.0 * np.arange(size) / size
 
 
-def noise_subspace(r, d: int) -> SubspacePair:
-    """EVD split: d largest eigenvalues span the signal subspace."""
-    values = r.values if isinstance(r, SmoothedMatrix) else np.asarray(r)
-    m = values.shape[0]
-    if not 0 <= d < m:
-        raise ValueError(f"need 0 <= d < M, got d={d}, M={m}")
-    evd = hermitian_evd(values)
-    return SubspacePair(noise=evd.eigenvectors[:, d:])
+def noise_subspace(m: np.ndarray, d: int) -> np.ndarray:
+    """Noise subspace U_N of an M x M Hermitian matrix: the M x (M-d)
+    eigenvectors of all but the d largest eigenvalues."""
+    m = np.asarray(m)
+    if not 0 <= d < m.shape[0]:
+        raise ValueError(f"need 0 <= d < M, got d={d}, M={m.shape[0]}")
+    return hermitian_evd(m).eigenvectors[:, d:]
 
 
 def music_spectrum(noise: np.ndarray, grid,
@@ -199,12 +190,12 @@ def estimate_doas(r: np.ndarray, geom: ArrayGeometry, d: int, a: int,
     """
     sm = vws_smooth(coarray_signal(r, geom), a)
     t0 = time.perf_counter()
-    sub = noise_subspace(sm, d)
+    noise = noise_subspace(sm.values, d)
     evd_time = time.perf_counter() - t0
     if method == "vws-ca-music":
-        return pick_peaks(_grid_spectrum(sub.noise, grid_size), d), evd_time
+        return pick_peaks(_grid_spectrum(noise, grid_size), d), evd_time
     if method == "vws-ca-rmusic":
-        return root_music(sub.noise, d), evd_time
+        return root_music(noise, d), evd_time
     raise ValueError(f"unknown method {method!r}")
 
 

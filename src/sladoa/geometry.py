@@ -51,19 +51,21 @@ class ArrayGeometry:
 class Coarray:
     """Difference set of an array: lags, pair weights, and the UDOF.
 
-    ``udof`` counts the maximal contiguous run of lags centered at 0;
-    ``g`` = (udof+1)/2 is the one-sided extent of that run plus the
-    zero lag.  Lags outside the contiguous run are kept for
-    diagnostics only.
+    ``g`` is the one-sided extent of the maximal contiguous run of lags
+    centered at 0, plus the zero lag; ``udof`` = 2g-1 counts that run.
+    Lags outside the contiguous run are kept for diagnostics only.
     """
 
     lags: tuple[int, ...]
     weights: Mapping[int, int]
-    udof: int
     g: int
 
     def __post_init__(self):
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+
+    @property
+    def udof(self) -> int:
+        return 2 * self.g - 1
 
     @property
     def contiguous_lags(self) -> tuple[int, ...]:
@@ -90,7 +92,6 @@ def difference_coarray(geom: ArrayGeometry) -> Coarray:
     return Coarray(
         lags=tuple(sorted(lag_set)),
         weights=dict(weights),
-        udof=2 * half + 1,
         g=half + 1,
     )
 

@@ -10,7 +10,7 @@ deterministic under parallelism.
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -86,13 +86,15 @@ class ExperimentConfig:
             raise ValueError(f"axis_values: {exc}") from None
         if not _is_count(self.snapshots):
             raise ValueError("snapshots: must be an integer >= 1")
-        if self.trials < 1:
-            raise ValueError("trials: must be >= 1")
-        if self.grid_size < 2:
-            raise ValueError("grid_size: must be >= 2")
+        if not _is_count(self.trials):
+            raise ValueError("trials: must be an integer >= 1")
+        if not (_is_count(self.grid_size) and self.grid_size >= 2):
+            raise ValueError("grid_size: must be an integer >= 2")
         if self.method == "vws-ca-music" and self.grid_size < d:
             raise ValueError(f"grid_size: {self.grid_size} points, "
                              f"fewer than d={d} sources")
+        if not float(self.a).is_integer():
+            raise ValueError(f"a: must be an integer, got {self.a}")
         ca = difference_coarray(self.geometry)
         amax = max_shrinkage(ca.udof, d)
         if not 0 <= self.a <= amax:
@@ -109,20 +111,17 @@ def _is_count(v) -> bool:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """RMSE curve with per-axis fill counts and EVD timing.
+    """The RMSE curve of ``config``: per point of ``config.axis_values``,
+    the RMSE, the fill count summed over trials and the mean EVD time.
 
     ``mean_evd_time`` is wall-clock time: it goes to the JSON sidecar
     and never to the CSV, which stays byte-identical run to run.
     """
 
-    axis: str
-    axis_values: tuple[float, ...]
+    config: ExperimentConfig
     rmse: tuple[float, ...]
     fills: tuple[int, ...]
-    trials: int
     mean_evd_time: tuple[float, ...]
-    seed: int
-    config: dict = field(default_factory=dict)
 
 
 def trial_seed(master: int, axis_index: int, trial_index: int):
@@ -144,8 +143,9 @@ def run_trial(cfg: ExperimentConfig, axis_value, axis_index: int,
     seed = trial_seed(cfg.seed, axis_index, trial_index)
     snaps = simulate_snapshots(cfg.scene, cfg.geometry, t, noise_var, seed)
     r = sample_covariance(snaps)
-    result, evd_time = estimate_doas(r, cfg.geometry, len(cfg.thetas), cfg.a,
-                                     method=cfg.method, grid_size=cfg.grid_size)
+    result, evd_time = estimate_doas(r, cfg.geometry, len(cfg.thetas),
+                                     int(cfg.a), method=cfg.method,
+                                     grid_size=int(cfg.grid_size))
     err = result.thetas - np.asarray(cfg.thetas)
     return err * err, result.fill_count, evd_time
 
@@ -169,7 +169,7 @@ def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     cfg.validate()
     if workers < 1:
         raise ValueError("workers: must be >= 1")
-    k, d = cfg.trials, len(cfg.thetas)
+    k, d = int(cfg.trials), len(cfg.thetas)
     workers = min(workers, k)               # an idle worker is a wasted fork
     bounds = np.linspace(0, k, workers + 1, dtype=int).tolist()
     rmse, fills, mean_t = [], [], []
@@ -186,10 +186,7 @@ def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     finally:
         if pool is not None:
             pool.shutdown()
-    return SweepResult(axis=cfg.axis, axis_values=cfg.axis_values,
-                       rmse=tuple(rmse), fills=tuple(fills), trials=k,
-                       mean_evd_time=tuple(mean_t), seed=cfg.seed,
-                       config=config_echo(cfg))
+    return SweepResult(cfg, tuple(rmse), tuple(fills), tuple(mean_t))
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
@@ -223,25 +220,29 @@ def write_sweep_csv(results, path) -> None:
                          "trials", "fills"])
         for result in results:
             c = result.config
-            for av, rm, fl in zip(result.axis_values, result.rmse,
-                                  result.fills):
-                writer.writerow([c["geometry"], c["method"], c["a"],
+            for av, rm, fl in zip(c.axis_values, result.rmse, result.fills):
+                writer.writerow([c.geometry.name, c.method, c.a,
                                  repr(float(av)), repr(float(rm)),
-                                 result.trials, fl])
+                                 c.trials, fl])
 
 
 def write_sweep_json(results, path) -> None:
-    """JSON sidecar: one object per SweepResult, with config and seed."""
-    payload = [{
-        "config": result.config,
-        "seed": result.seed,
-        "axis": result.axis,
-        "axis_values": list(result.axis_values),
-        "rmse": list(result.rmse),
-        "fills": list(result.fills),
-        "trials": result.trials,
-        "mean_evd_time": list(result.mean_evd_time),
-    } for result in results]
+    """JSON sidecar: one object per SweepResult, with its config echoed
+    whole and its seed, axis, axis values and trials repeated at the top
+    level."""
+    payload = []
+    for result in results:
+        echo = config_echo(result.config)
+        payload.append({
+            "config": echo,
+            "seed": echo["seed"],
+            "axis": echo["axis"],
+            "axis_values": echo["axis_values"],
+            "rmse": list(result.rmse),
+            "fills": list(result.fills),
+            "trials": echo["trials"],
+            "mean_evd_time": list(result.mean_evd_time),
+        })
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

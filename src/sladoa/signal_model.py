@@ -15,7 +15,6 @@ from .geometry import ArrayGeometry
 
 __all__ = [
     "SourceScene",
-    "SnapshotSet",
     "steering_matrix",
     "simulate_snapshots",
     "exact_covariance",
@@ -57,26 +56,6 @@ class SourceScene:
         return len(self.thetas)
 
 
-@dataclass(frozen=True)
-class SnapshotSet:
-    """N x T matrix of received samples (sensors by time)."""
-
-    data: np.ndarray
-    geometry: ArrayGeometry
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        if data.ndim != 2 or data.shape[0] != self.geometry.n:
-            raise ValueError("data must be N x T with N matching the geometry")
-        if data.shape[1] < 1:
-            raise ValueError("need at least one snapshot")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def t(self) -> int:
-        return self.data.shape[1]
-
-
 def steering_matrix(positions, thetas, sign: int = -1) -> np.ndarray:
     """Steering matrix with entries exp(sign * j*pi * position * theta).
 
@@ -102,8 +81,9 @@ def exact_covariance(scene: SourceScene, geom: ArrayGeometry,
 
 
 def simulate_snapshots(scene: SourceScene, geom: ArrayGeometry, t: int,
-                       noise_var: float, seed) -> SnapshotSet:
-    """Draw T iid snapshots x(t) = A s(t) + n(t).
+                       noise_var: float, seed) -> np.ndarray:
+    """Draw T iid snapshots x(t) = A s(t) + n(t) as an N x T complex
+    array (sensors by time).
 
     The draw order is fixed (all source samples, then all noise
     samples), so output is bit-reproducible for a given seed.  ``seed``
@@ -120,12 +100,19 @@ def simulate_snapshots(scene: SourceScene, geom: ArrayGeometry, t: int,
     n = (rng.standard_normal((geom.n, t)) + 1j * rng.standard_normal((geom.n, t)))
     n *= np.sqrt(noise_var / 2.0)
     a = steering_matrix(geom.positions, scene.thetas, sign=-1)
-    return SnapshotSet(a @ s + n, geom)
+    return a @ s + n
 
 
-def sample_covariance(x: SnapshotSet) -> np.ndarray:
-    """Sample covariance (1/T) X X^H."""
-    return x.data @ x.data.conj().T / x.t
+def sample_covariance(x) -> np.ndarray:
+    """Sample covariance (1/T) X X^H of an N x T snapshot array.
+
+    Raises ValueError unless the input is 2-D with T >= 1.
+    """
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError("snapshots must be N x T with T >= 1, "
+                         f"got shape {x.shape}")
+    return x @ x.conj().T / x.shape[1]
 
 
 def snr_to_noise_var(snr_db: float) -> float:

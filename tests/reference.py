@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sladoa.coarray import SmoothingPlan
+from sladoa.coarray import CoarraySignal, SmoothingPlan
 from sladoa.geometry import Coarray
 from sladoa.signal_model import SourceScene, steering_matrix
 
@@ -50,3 +50,13 @@ def decompose_oracle(scene: SourceScene, coarray: Coarray, a: int,
     arb = ar @ b
     r2sq = arb @ arb.conj().T
     return OracleDecomposition(r1=r1, r2sq=r2sq, b=b, omegas=omegas)
+
+
+def population_coarray_signal(scene: SourceScene, coarray: Coarray,
+                              noise_var: float) -> CoarraySignal:
+    """Exact coarray signal sum_d p_d exp(j*pi*l*theta_d) + noise spike."""
+    lags = np.asarray(coarray.contiguous_lags)
+    a = steering_matrix(lags, scene.thetas, sign=+1)
+    values = a @ np.asarray(scene.powers, dtype=complex)
+    values[coarray.g - 1] += noise_var
+    return CoarraySignal(values, coarray)

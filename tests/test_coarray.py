@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from sladoa.coarray import (CoarraySignal, SmoothingPlan, coarray_signal,
-                            max_shrinkage, population_coarray_signal,
-                            vws_smooth)
+                            max_shrinkage, vws_smooth)
 from sladoa.geometry import (ArrayGeometry, build_mra, build_nested,
                              build_super_nested, build_ula,
                              difference_coarray)
 from sladoa.numerics import hermitian_evd
 from sladoa.signal_model import SourceScene, exact_covariance, steering_matrix
 
-from reference import decompose_oracle
+from reference import decompose_oracle, population_coarray_signal
 
 
 def scene_for(d):

@@ -34,7 +34,7 @@ def sampled_noise(geom):
     scene = SourceScene.unit_powers(tuple(np.linspace(-0.6, 0.6, d)))
     snaps = simulate_snapshots(scene, geom, 200, 1.0, seed=5)
     sm = vws_smooth(coarray_signal(sample_covariance(snaps), geom), 0)
-    return noise_subspace(sm, d).noise, d
+    return noise_subspace(sm.values, d), d
 
 
 def trace_coefficients(noise):
@@ -48,21 +48,21 @@ class TestNoiseSubspace:
     def test_population_orthogonality(self):
         geom = build_nested(4, 4)
         sm = population_smoothed(geom, THETAS3, 1.0, 3)
-        sub = noise_subspace(sm, 3)
+        noise = noise_subspace(sm.values, 3)
         ar = steering_matrix(range(sm.plan.m), THETAS3, sign=+1)
-        proj = np.abs(sub.noise.conj().T @ ar) / np.sqrt(sm.plan.m)
+        proj = np.abs(noise.conj().T @ ar) / np.sqrt(sm.plan.m)
         assert proj.max() < 1e-8
 
     def test_identity_any_split_valid(self):
-        sub = noise_subspace(np.eye(5), 1)
-        assert sub.noise.shape == (5, 4)
-        np.testing.assert_allclose(sub.noise.conj().T @ sub.noise, np.eye(4),
+        noise = noise_subspace(np.eye(5), 1)
+        assert noise.shape == (5, 4)
+        np.testing.assert_allclose(noise.conj().T @ noise, np.eye(4),
                                    atol=1e-10)
 
     def test_single_noise_vector(self):
-        sub = noise_subspace(np.diag([4.0, 3.0, 2.0, 1.0]), 3)
-        assert sub.noise.shape == (4, 1)
-        assert np.linalg.norm(sub.noise) == pytest.approx(1.0)
+        noise = noise_subspace(np.diag([4.0, 3.0, 2.0, 1.0]), 3)
+        assert noise.shape == (4, 1)
+        assert np.linalg.norm(noise) == pytest.approx(1.0)
 
     def test_rejects_d_ge_m(self):
         with pytest.raises(ValueError):
@@ -73,9 +73,9 @@ class TestMusicSpectrum:
     def test_population_peaks(self):
         geom = build_nested(4, 4)
         sm = population_smoothed(geom, THETAS3, 1.0, 3)
-        sub = noise_subspace(sm, 3)
+        noise = noise_subspace(sm.values, 3)
         grid = default_grid(2000)
-        spec = music_spectrum(sub.noise, grid)
+        spec = music_spectrum(noise, grid)
         result = pick_peaks(spec, 3)
         assert np.max(np.abs(result.thetas - np.array(THETAS3))) <= 1e-3
 
@@ -91,8 +91,8 @@ class TestMusicSpectrum:
     def test_values_positive_finite(self):
         geom = build_ula(8)
         sm = population_smoothed(geom, (0.3,), 0.0, 0)
-        sub = noise_subspace(sm, 1)
-        spec = music_spectrum(sub.noise, default_grid(500))
+        noise = noise_subspace(sm.values, 1)
+        spec = music_spectrum(noise, default_grid(500))
         assert np.all(np.isfinite(spec.values))
         assert np.all(spec.values > 0)
 
@@ -183,7 +183,7 @@ class TestRootMusic:
     def test_population_exact(self):
         geom = build_nested(4, 4)
         sm = population_smoothed(geom, THETAS3, 1.0, 3)
-        res = root_music(noise_subspace(sm, 3).noise, 3)
+        res = root_music(noise_subspace(sm.values, 3), 3)
         assert np.max(np.abs(res.thetas - np.array(THETAS3))) < 1e-6
 
     def test_two_by_two_hand_case(self):
@@ -195,7 +195,7 @@ class TestRootMusic:
         scene = SourceScene.unit_powers(THETAS3)
         snaps = simulate_snapshots(scene, geom, 500, 1.0, seed=9)
         sm = vws_smooth(coarray_signal(sample_covariance(snaps), geom), 3)
-        coeffs = trace_coefficients(noise_subspace(sm, 3).noise)
+        coeffs = trace_coefficients(noise_subspace(sm.values, 3))
         roots = np.roots(coeffs[::-1])
         for z in roots:
             partner = 1.0 / np.conj(z)

@@ -6,7 +6,7 @@ test_acceptance.py."""
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -60,6 +60,19 @@ class TestConfigValidation:
             make_cfg(axis="snapshots", axis_values=(100.7,)).validate()
         make_cfg(axis="snapshots", axis_values=(100.0, 200.0)).validate()
 
+    @pytest.mark.parametrize("field, value", [("trials", 2.5), ("a", 1.5),
+                                              ("grid_size", 2000.5)])
+    def test_rejects_non_integer_settings(self, field, value):
+        cfg = make_cfg(**{"method": "vws-ca-music", "trials": 2,
+                          field: value})
+        with pytest.raises(ValueError, match=f"{field}:"):
+            rmse_sweep(cfg)
+
+    def test_integer_valued_floats_run_as_integers(self):
+        as_int = make_cfg(method="vws-ca-music", trials=2, a=3, grid_size=200)
+        as_float = replace(as_int, trials=2.0, a=3.0, grid_size=200.0)
+        assert rmse_sweep(as_float).rmse == rmse_sweep(as_int).rmse
+
     def test_rejects_music_grid_below_sources(self):
         with pytest.raises(ValueError, match="grid_size:.*fewer than d=3"):
             make_cfg(method="vws-ca-music", grid_size=2).validate()
@@ -102,6 +115,13 @@ class TestRmseSweep:
         result = rmse_sweep(cfg)
         sq, _, _ = run_trial(cfg, 5.0, 0, 0)
         assert result.rmse[0] == pytest.approx(math.sqrt(np.mean(sq)))
+
+    def test_result_holds_its_config(self):
+        cfg = make_cfg(trials=2)
+        result = rmse_sweep(cfg)
+        assert result.config is cfg
+        assert [f.name for f in fields(result)] == [
+            "config", "rmse", "fills", "mean_evd_time"]
 
     def test_deterministic_across_workers(self):
         cfg = make_cfg(trials=12)
@@ -169,6 +189,14 @@ class TestOutputs:
         path = tmp_path / "out.json"
         write_sweep_json([result], path)
         payload = json.loads(path.read_text())[0]
+        assert list(payload) == ["config", "seed", "axis", "axis_values",
+                                 "rmse", "fills", "trials", "mean_evd_time"]
+        assert list(payload["config"]) == [
+            "geometry", "positions", "thetas", "powers", "method", "a",
+            "snapshots", "snr_db", "axis", "axis_values", "trials", "seed",
+            "grid_size"]
+        for key in ("seed", "axis", "axis_values", "trials"):
+            assert payload[key] == payload["config"][key], key
         assert payload["seed"] == 99
         assert payload["config"]["geometry"] == "nested(4,4)"
         assert payload["config"]["axis_values"] == [0.0, 10.0]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sladoa.geometry import ArrayGeometry, build_nested, build_ula
-from sladoa.signal_model import (SnapshotSet, SourceScene, exact_covariance,
+from sladoa.signal_model import (SourceScene, exact_covariance,
                                  sample_covariance, simulate_snapshots,
                                  snr_to_noise_var, steering_matrix)
 
@@ -91,21 +91,22 @@ class TestSimulateSnapshots:
         scene = SourceScene.unit_powers((-0.8, 0.0, 0.8))
         a = simulate_snapshots(scene, geom, 64, 1.0, seed=7)
         b = simulate_snapshots(scene, geom, 64, 1.0, seed=7)
-        np.testing.assert_array_equal(a.data, b.data)
+        assert a.shape == (geom.n, 64)
+        np.testing.assert_array_equal(a, b)
 
     def test_noiseless_rank_one(self):
         geom = build_ula(6)
         scene = SourceScene((0.3,), (1.0,))
         snaps = simulate_snapshots(scene, geom, 32, 0.0, seed=1)
         # each column is a scaled steering vector: unit-modulus structure
-        mags = np.abs(snaps.data)
+        mags = np.abs(snaps)
         np.testing.assert_allclose(mags, np.tile(mags[0], (6, 1)), atol=1e-12)
 
     def test_noiseless_rank_le_d(self):
         geom = build_nested(4, 4)
         scene = SourceScene.unit_powers((-0.5, 0.1, 0.7))
         snaps = simulate_snapshots(scene, geom, 200, 0.0, seed=3)
-        sv = np.linalg.svd(snaps.data, compute_uv=False)
+        sv = np.linalg.svd(snaps, compute_uv=False)
         assert np.sum(sv > 1e-8 * sv[0]) <= 3
 
     def test_rejects_negative_noise(self):
@@ -125,15 +126,18 @@ class TestSimulateSnapshots:
 
 class TestSampleCovariance:
     def test_single_column(self):
-        geom = ArrayGeometry("pair", (0, 1))
         v = np.array([[1.0 + 2.0j], [3.0 - 1.0j]])
-        r = sample_covariance(SnapshotSet(v, geom))
+        r = sample_covariance(v)
         np.testing.assert_allclose(r, v @ v.conj().T, atol=1e-14)
 
     def test_zero_data(self):
-        geom = ArrayGeometry("pair", (0, 1))
-        r = sample_covariance(SnapshotSet(np.zeros((2, 5)), geom))
+        r = sample_covariance(np.zeros((2, 5)))
         np.testing.assert_array_equal(r, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 0)])
+    def test_rejects_non_matrix_or_no_snapshots(self, shape):
+        with pytest.raises(ValueError, match="T >= 1"):
+            sample_covariance(np.zeros(shape, dtype=complex))
 
 
 class TestSnr:
