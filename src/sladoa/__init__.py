@@ -4,8 +4,8 @@ reproducible Monte Carlo RMSE benchmark harness."""
 
 __version__ = "0.1.0"
 
-from .coarray import (CoarraySignal, SmoothedMatrix, SmoothingPlan,
-                      coarray_signal, max_shrinkage, vws_smooth)
+from .coarray import (SmoothedMatrix, coarray_signal, lag_sums,
+                      max_shrinkage, vws_smooth)
 from .estimators import (EstimationResult, Spectrum, default_grid,
                          estimate_doas, music_spectrum, noise_subspace,
                          pick_peaks, root_music, save_spectrum_csv)

@@ -1,8 +1,10 @@
 """Coarray signal extraction and variable-window spatial smoothing.
 
-The covariance matrix is mapped to a length-UDOF vector over the
-contiguous lags -(G-1)..(G-1) by averaging all sensor pairs at each
-lag.  Smoothing slides a length-M window over this vector: window p
+``coarray_signal`` returns the complex length-UDOF vector over the
+contiguous lags -(G-1)..(G-1): each entry is the covariance averaged
+over the sensor pairs at that lag.  ``lag_sums`` is the one kernel
+that sums matrix entries by lag; root-MUSIC's polynomial reads it too.
+Smoothing slides a length-M window over the coarray vector: window p
 (1-based, p = 1..P with P = G + a and M = G - a) covers lags
 a-p+1 .. a-p+M, so the reference window p = a+1 spans lags 0..M-1.
 Windows that exclude lag 0 carry no noise spike; shrinking the window
@@ -15,12 +17,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import ArrayGeometry, Coarray, difference_coarray
+from .geometry import ArrayGeometry, difference_coarray
 
 __all__ = [
-    "CoarraySignal",
-    "SmoothingPlan",
     "SmoothedMatrix",
+    "lag_sums",
     "coarray_signal",
     "vws_smooth",
     "max_shrinkage",
@@ -28,53 +29,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CoarraySignal:
-    """Complex vector over the contiguous lags -(G-1)..(G-1)."""
-
-    values: np.ndarray
-    coarray: Coarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.coarray.udof,):
-            raise ValueError("values length must equal the UDOF")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class SmoothingPlan:
-    """Window bookkeeping: M = G - a windows sizes, P = G + a windows."""
-
-    a: int
-    g: int
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise ValueError("shrinkage a must be >= 0")
-        if self.m < 2:
-            raise ValueError(
-                f"shrinkage a={self.a} leaves window size {self.m} < 2"
-            )
-
-    @property
-    def m(self) -> int:
-        return self.g - self.a
-
-    @property
-    def p(self) -> int:
-        return self.g + self.a
-
-    @property
-    def udof(self) -> int:
-        return 2 * self.g - 1
-
-
-@dataclass(frozen=True)
 class SmoothedMatrix:
-    """M x M Hermitian PSD average of window outer products."""
+    """M x M Hermitian PSD average of window outer products.
+
+    Only the benchmark's traced replay (``perfbench/tracing.py``) still
+    reads ``.values``; once it stops, ``vws_smooth`` can return the
+    array itself.
+    """
 
     values: np.ndarray
-    plan: SmoothingPlan
 
 
 def max_shrinkage(udof: int, d: int) -> int:
@@ -93,35 +56,56 @@ def max_shrinkage(udof: int, d: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _lag_averaging_index(positions: tuple[int, ...]):
-    """Flat covariance indices and lag bins for redundancy averaging."""
+def _lag_bins(positions: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Bin of each flattened entry (i, j), its lag plus the aperture L,
+    and the bin count 2L + 1."""
     pos = np.asarray(positions)
-    lagmat = pos[None, :] - pos[:, None]          # lag of entry (i, j)
-    geom = ArrayGeometry("tmp", positions)
+    aperture = int(pos.max() - pos.min())
+    return (pos[None, :] - pos[:, None]).ravel() + aperture, 2 * aperture + 1
+
+
+def lag_sums(mat: np.ndarray, positions) -> np.ndarray:
+    """Sums of the entries (i, j) of a square matrix by lag
+    positions[j] - positions[i], ascending over the lags
+    -aperture..aperture; each sum runs in row-major order."""
+    bins, size = _lag_bins(tuple(positions))
+    flat = np.asarray(mat).ravel()
+    return (np.bincount(bins, flat.real, size)
+            + 1j * np.bincount(bins, flat.imag, size))
+
+
+@lru_cache(maxsize=64)
+def _segment(geom: ArrayGeometry) -> tuple[slice, np.ndarray]:
+    """Where the contiguous lags sit in ``lag_sums``' output, and how
+    many sensor pairs each of them has."""
     ca = difference_coarray(geom)
-    g = ca.g
-    mask = np.abs(lagmat) <= g - 1
-    flat = np.flatnonzero(mask)
-    bins = lagmat.ravel()[flat] + g - 1
-    counts = np.bincount(bins, minlength=ca.udof).astype(float)
-    return flat, bins, counts, ca
+    lags = range(1 - ca.g, ca.g)
+    start = geom.aperture + lags[0]
+    counts = np.array([ca.weights[l] for l in lags], dtype=float)
+    return slice(start, start + ca.udof), counts
 
 
-def coarray_signal(r: np.ndarray, geom: ArrayGeometry) -> CoarraySignal:
+def coarray_signal(r: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
     """Average covariance entries over sensor pairs at each contiguous
     lag; lags outside the hole-free segment are discarded."""
     r = np.asarray(r, dtype=complex)
     if r.shape != (geom.n, geom.n):
         raise ValueError("covariance dimension does not match geometry")
-    flat, bins, counts, ca = _lag_averaging_index(geom.positions)
-    values = np.zeros(ca.udof, dtype=complex)
-    np.add.at(values, bins, r.ravel()[flat])
-    return CoarraySignal(values / counts, ca)
+    segment, counts = _segment(geom)
+    return lag_sums(r, geom.positions)[segment] / counts
 
 
-def vws_smooth(x: CoarraySignal, a: int) -> SmoothedMatrix:
-    """Average the P = G + a outer products of length-M window slices."""
-    plan = SmoothingPlan(a=a, g=x.coarray.g)
-    w = sliding_window_view(x.values, plan.m)     # rows: windows, ascending lag
-    values = w.T @ w.conj() / plan.p
-    return SmoothedMatrix(values, plan)
+def vws_smooth(x: np.ndarray, a: int) -> SmoothedMatrix:
+    """Average the P = G + a outer products of length-M window slices
+    of the coarray vector x, whose length 2G - 1 gives G."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 1 or x.size % 2 == 0:
+        raise ValueError("coarray vector must be 1-D with odd length")
+    if not (float(a).is_integer() and a >= 0):
+        raise ValueError(f"a: must be an integer >= 0, got {a}")
+    g, a = (x.size + 1) // 2, int(a)
+    m = g - a
+    if m < 2:
+        raise ValueError(f"a: shrinkage {a} leaves window size {m} < 2")
+    w = sliding_window_view(x, m)                 # rows: windows, ascending lag
+    return SmoothedMatrix(w.T @ w.conj() / (g + a))

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coarray import coarray_signal, vws_smooth
+from .coarray import coarray_signal, lag_sums, vws_smooth
 from .geometry import ArrayGeometry
 from .numerics import hermitian_evd, polynomial_roots
 
@@ -89,11 +89,7 @@ def music_spectrum(noise: np.ndarray, grid,
 
 def _noise_polynomial(noise: np.ndarray) -> np.ndarray:
     """Ascending t_{1-M} .. t_{M-1}; t_k sums diagonal k of U_N U_N^H."""
-    m = noise.shape[0]
-    c = (noise @ noise.conj().T).ravel()
-    lag = (np.arange(m) - np.arange(m)[:, None]).ravel() + m - 1
-    return (np.bincount(lag, c.real, 2 * m - 1)
-            + 1j * np.bincount(lag, c.imag, 2 * m - 1))
+    return lag_sums(noise @ noise.conj().T, range(noise.shape[0]))
 
 
 def _grid_spectrum(noise: np.ndarray, size: int) -> Spectrum:
@@ -149,10 +145,11 @@ def root_music(noise: np.ndarray, d: int) -> EstimationResult:
     Laurent polynomial.
 
     With C = U_N U_N^H, the coefficient of z^(k+M-1) is the sum of the
-    k-th superdiagonal of C.  The d roots inside and closest to the
-    unit circle give theta = angle(z)/pi; if fewer than d lie strictly
-    inside, the remainder come from outside by the same closeness
-    metric and are counted in ``fill_count``.
+    k-th superdiagonal of C; corner sums at or below 1e-12 of the
+    largest are dropped in pairs, one from each end.  The d roots
+    inside and closest to the unit circle give theta = angle(z)/pi; if
+    fewer than d lie strictly inside, the remainder come from outside
+    by the same closeness metric and are counted in ``fill_count``.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -160,7 +157,13 @@ def root_music(noise: np.ndarray, d: int) -> EstimationResult:
     m = noise.shape[0]
     if m < 2:
         raise ValueError("need M >= 2")
-    roots = polynomial_roots(_noise_polynomial(noise))
+    # t is conjugate-reciprocal: both ends vanish together, and
+    # np.roots would divide by a near-zero leading coefficient
+    t = _noise_polynomial(noise)
+    tol = 1e-12 * np.abs(t).max()
+    while t.size > 3 and abs(t[-1]) <= tol:
+        t = t[1:-1]
+    roots = polynomial_roots(t)
     moduli = np.abs(roots)
     inside = roots[moduli < 1.0]
     outside = roots[moduli >= 1.0]

@@ -68,10 +68,6 @@ class Coarray:
         return 2 * self.g - 1
 
     @property
-    def contiguous_lags(self) -> tuple[int, ...]:
-        return tuple(range(-(self.g - 1), self.g))
-
-    @property
     def holes(self) -> tuple[int, ...]:
         """Positive lags between the contiguous segment and the aperture
         that no sensor pair produces."""

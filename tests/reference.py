@@ -5,9 +5,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sladoa.coarray import CoarraySignal, SmoothingPlan
-from sladoa.geometry import Coarray
+from sladoa.geometry import (ArrayGeometry, Coarray, build_mra, build_nested,
+                             build_super_nested, build_ula,
+                             difference_coarray)
 from sladoa.signal_model import SourceScene, steering_matrix
+
+# Every builder, at sizes up to mra(10) (UDOF 73, largest window M = 37).
+BUILDER_GEOMETRIES = ([build_ula(n) for n in range(2, 11)]
+                      + [build_mra(n) for n in range(3, 11)]
+                      + [build_nested(2, 2), build_nested(3, 5),
+                         build_nested(4, 4), build_super_nested(4, 4),
+                         build_super_nested(5, 4), build_super_nested(6, 3)])
 
 
 @dataclass(frozen=True)
@@ -39,8 +47,7 @@ def decompose_oracle(scene: SourceScene, coarray: Coarray, a: int,
     """
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
-    plan = SmoothingPlan(a=a, g=coarray.g)
-    m = plan.m
+    m = coarray.g - a
     ar = steering_matrix(range(m), scene.thetas, sign=+1)
     p = np.asarray(scene.powers)
     omegas = np.exp(-1j * np.pi * np.asarray(scene.thetas))
@@ -53,10 +60,26 @@ def decompose_oracle(scene: SourceScene, coarray: Coarray, a: int,
 
 
 def population_coarray_signal(scene: SourceScene, coarray: Coarray,
-                              noise_var: float) -> CoarraySignal:
-    """Exact coarray signal sum_d p_d exp(j*pi*l*theta_d) + noise spike."""
-    lags = np.asarray(coarray.contiguous_lags)
+                              noise_var: float) -> np.ndarray:
+    """Exact coarray signal sum_d p_d exp(j*pi*l*theta_d) + noise spike
+    over the contiguous lags l = -(G-1)..(G-1)."""
+    lags = np.arange(-(coarray.g - 1), coarray.g)
     a = steering_matrix(lags, scene.thetas, sign=+1)
     values = a @ np.asarray(scene.powers, dtype=complex)
     values[coarray.g - 1] += noise_var
-    return CoarraySignal(values, coarray)
+    return values
+
+
+def pairwise_lag_average(r: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
+    """The coarray signal by a plain loop over sensor pairs: entries are
+    summed per contiguous lag in row-major order, then divided by the
+    pair count of that lag."""
+    g = difference_coarray(geom).g
+    sums = np.zeros(2 * g - 1, dtype=complex)
+    counts = np.zeros(2 * g - 1)
+    for i, pi in enumerate(geom.positions):
+        for j, pj in enumerate(geom.positions):
+            if abs(pj - pi) < g:
+                sums[pj - pi + g - 1] += r[i, j]
+                counts[pj - pi + g - 1] += 1
+    return sums / counts

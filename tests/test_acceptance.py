@@ -103,8 +103,8 @@ class TestAcceptance:
             for a in SHRINKAGES:
                 smoothed = vws_smooth(x, a)
                 sub = noise_subspace(smoothed.values, scene.d)
-                ar = steering_matrix(range(smoothed.plan.m), scene.thetas,
-                                     sign=+1)
+                ar = steering_matrix(range(smoothed.values.shape[0]),
+                                     scene.thetas, sign=+1)
                 proj = np.abs(sub.conj().T @ ar)
                 worst = max(worst, float(proj.max()))
         assert worst < 1e-8

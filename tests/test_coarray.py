@@ -2,18 +2,20 @@
 population decomposition oracle and an independently coded fixed-window
 implementation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from sladoa.coarray import (CoarraySignal, SmoothingPlan, coarray_signal,
-                            max_shrinkage, vws_smooth)
+from sladoa.coarray import coarray_signal, max_shrinkage, vws_smooth
 from sladoa.geometry import (ArrayGeometry, build_mra, build_nested,
                              build_super_nested, build_ula,
                              difference_coarray)
 from sladoa.numerics import hermitian_evd
 from sladoa.signal_model import SourceScene, exact_covariance, steering_matrix
 
-from reference import decompose_oracle, population_coarray_signal
+from reference import (BUILDER_GEOMETRIES, decompose_oracle,
+                       pairwise_lag_average, population_coarray_signal)
 
 
 def scene_for(d):
@@ -45,14 +47,14 @@ class TestCoarraySignal:
         beta = 0.3 - 0.7j
         r = np.array([[2.0, beta], [np.conj(beta), 2.0]])
         x = coarray_signal(r, geom)
-        np.testing.assert_allclose(x.values, [np.conj(beta), 2.0, beta])
+        np.testing.assert_allclose(x, [np.conj(beta), 2.0, beta])
 
     def test_identity_covariance(self):
         geom = build_nested(4, 4)
         x = coarray_signal(np.eye(8), geom)
         expected = np.zeros(39)
         expected[19] = 1.0
-        np.testing.assert_allclose(x.values, expected, atol=1e-14)
+        np.testing.assert_allclose(x, expected, atol=1e-14)
 
     def test_population_single_source(self):
         geom = build_nested(4, 4)
@@ -61,12 +63,12 @@ class TestCoarraySignal:
         lags = np.arange(-19, 20)
         expected = p * np.exp(1j * np.pi * lags * theta)
         expected[19] += nv
-        np.testing.assert_allclose(x.values, expected, atol=1e-12)
+        np.testing.assert_allclose(x, expected, atol=1e-12)
 
     def test_conjugate_symmetry(self):
         geom = build_mra(8)
         x = population_signal(scene_for(3), geom, 1.0)
-        np.testing.assert_allclose(x.values, np.conj(x.values[::-1]), atol=1e-12)
+        np.testing.assert_allclose(x, np.conj(x[::-1]), atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -77,33 +79,48 @@ class TestCoarraySignal:
         scene = scene_for(3)
         a = population_signal(scene, geom, 0.5)
         b = population_coarray_signal(scene, difference_coarray(geom), 0.5)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-12)
+        np.testing.assert_allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("geom", BUILDER_GEOMETRIES, ids=lambda g: g.name)
+    def test_matches_pair_loop(self, geom):
+        rng = np.random.default_rng(geom.n)
+        for _ in range(3):
+            z = (rng.standard_normal((geom.n, 2 * geom.n))
+                 + 1j * rng.standard_normal((geom.n, 2 * geom.n)))
+            r = z @ z.conj().T / z.shape[1]
+            assert np.array_equal(coarray_signal(r, geom),
+                                  pairwise_lag_average(r, geom))
 
 
 class TestSmoothingPlan:
+    """The plan vws_smooth carries out: window size M = G - a and
+    P = G + a windows, read back from the noise-spike output I_M / P."""
+
     def test_identity(self):
-        plan = SmoothingPlan(a=3, g=20)
-        assert plan.m == 17
-        assert plan.p == 23
-        assert plan.m == plan.udof - plan.p + 1
-        assert plan.p == plan.m + 2 * plan.a
+        x = coarray_signal(np.eye(8), build_nested(4, 4))  # G = 20
+        sm = vws_smooth(x, 3).values
+        m, p = sm.shape[0], round(1 / sm[0, 0].real)
+        assert m == 17
+        assert p == 23
+        assert m == x.size - p + 1
+        assert p == m + 2 * 3
 
     def test_rejects_tiny_window(self):
+        x = coarray_signal(np.eye(8), build_nested(4, 4))  # G = 20
         with pytest.raises(ValueError):
-            SmoothingPlan(a=19, g=20)
+            vws_smooth(x, 19)
         with pytest.raises(ValueError):
-            SmoothingPlan(a=-1, g=20)
+            vws_smooth(x, -1)
 
 
 class TestVwsSmooth:
     def test_a0_two_windows(self):
         # UDOF=3 (G=2): window 1 covers lags (0,1), window 2 lags (-1,0)
         geom = ArrayGeometry("pair", (0, 1))
-        ca = difference_coarray(geom)
-        x = CoarraySignal(np.array([1.0 + 1j, 2.0, 1.0 - 1j]), ca)
+        x = np.array([1.0 + 1j, 2.0, 1.0 - 1j])
         sm = vws_smooth(x, 0)
-        w1 = x.values[1:3]
-        w2 = x.values[0:2]
+        w1 = x[1:3]
+        w2 = x[0:2]
         expected = (np.outer(w1, w1.conj()) + np.outer(w2, w2.conj())) / 2
         np.testing.assert_allclose(sm.values, expected, atol=1e-14)
 
@@ -112,20 +129,21 @@ class TestVwsSmooth:
         x = coarray_signal(np.eye(8), geom)
         for a in (0, 3, 7):
             sm = vws_smooth(x, a)
-            plan = sm.plan
-            np.testing.assert_allclose(sm.values, np.eye(plan.m) / plan.p,
+            # G = 20: window size M = G - a, P = G + a windows
+            np.testing.assert_allclose(sm.values, np.eye(20 - a) / (20 + a),
                                        atol=1e-14)
+            assert [f.name for f in fields(sm)] == ["values"]
 
     def test_matches_independent_fixed_window(self):
         # Eq-by-eq fixed-window smoothing with explicit selection matrices
         geom = build_mra(8)
         x = population_signal(scene_for(3), geom, 1.0)
-        g = x.coarray.g
+        g = difference_coarray(geom).g
         acc = np.zeros((g, g), dtype=complex)
         for i in range(1, g + 1):
             j = np.zeros((g, 2 * g - 1))
             j[:, g - i:2 * g - i] = np.eye(g)
-            w = j @ x.values
+            w = j @ x
             acc += np.outer(w, w.conj())
         np.testing.assert_allclose(vws_smooth(x, 0).values, acc / g,
                                    atol=1e-12)
@@ -133,8 +151,20 @@ class TestVwsSmooth:
     def test_a_too_large(self):
         geom = build_nested(4, 4)
         x = population_signal(scene_for(3), geom, 1.0)
-        with pytest.raises(ValueError):
-            vws_smooth(x, 19)
+        # G = 20: a = 19 leaves M = 1; 1.5 and -1 are not shrinkages
+        for a in (19, 1.5, -1):
+            with pytest.raises(ValueError, match="^a: "):
+                vws_smooth(x, a)
+
+    def test_integer_valued_a_runs_as_integer(self):
+        x = coarray_signal(np.eye(8), build_nested(4, 4))
+        np.testing.assert_array_equal(vws_smooth(x, 3.0).values,
+                                      vws_smooth(x, 3).values)
+
+    def test_rejects_non_vector_or_even_length(self):
+        for x in (np.ones((3, 3)), np.ones(4), np.ones(0)):
+            with pytest.raises(ValueError, match="odd length"):
+                vws_smooth(x, 0)
 
     def test_hermitian_psd(self):
         geom = build_super_nested(4, 4)

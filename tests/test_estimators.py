@@ -4,7 +4,8 @@ resolved exactly (up to grid resolution for MUSIC)."""
 import numpy as np
 import pytest
 
-from sladoa.coarray import coarray_signal, difference_coarray, vws_smooth
+from sladoa.coarray import (coarray_signal, difference_coarray,
+                            max_shrinkage, vws_smooth)
 from sladoa.estimators import (Spectrum, _grid_spectrum, _noise_polynomial,
                                default_grid, estimate_doas, music_spectrum, noise_subspace,
                                pick_peaks, root_music, save_spectrum_csv)
@@ -13,12 +14,10 @@ from sladoa.signal_model import (SourceScene, exact_covariance,
                                  sample_covariance, simulate_snapshots,
                                  steering_matrix)
 
+from reference import BUILDER_GEOMETRIES
+
 THETAS3 = (-0.8, 0.0, 0.8)
-BUILDER_GEOMETRIES = ([build_ula(n) for n in range(2, 11)]
-                      + [build_mra(n) for n in range(3, 11)]
-                      + [build_nested(2, 2), build_nested(3, 5),
-                         build_nested(4, 4), build_super_nested(4, 4),
-                         build_super_nested(5, 4), build_super_nested(6, 3)])
+THETAS5 = (-0.8, -0.4, 0.0, 0.4, 0.8)
 
 
 def population_smoothed(geom, thetas, noise_var, a):
@@ -49,8 +48,9 @@ class TestNoiseSubspace:
         geom = build_nested(4, 4)
         sm = population_smoothed(geom, THETAS3, 1.0, 3)
         noise = noise_subspace(sm.values, 3)
-        ar = steering_matrix(range(sm.plan.m), THETAS3, sign=+1)
-        proj = np.abs(noise.conj().T @ ar) / np.sqrt(sm.plan.m)
+        m = sm.values.shape[0]
+        ar = steering_matrix(range(m), THETAS3, sign=+1)
+        proj = np.abs(noise.conj().T @ ar) / np.sqrt(m)
         assert proj.max() < 1e-8
 
     def test_identity_any_split_valid(self):
@@ -218,6 +218,20 @@ class TestEndToEnd:
         assert np.max(np.abs(music.thetas - np.array(THETAS3))) <= 1e-3
         root, _ = estimate_doas(r, geom, 3, a, method="vws-ca-rmusic")
         assert np.max(np.abs(root.thetas - np.array(THETAS3))) < 1e-6
+
+    @pytest.mark.parametrize("geom", BUILDER_GEOMETRIES, ids=lambda g: g.name)
+    def test_root_music_five_sources_every_a(self, geom):
+        # THETAS5 in z are the 5th roots of unity; at some a the corner
+        # coefficients of the noise polynomial vanish to ~1e-18 of the
+        # largest, and only deflating them keeps the roots exact
+        udof = difference_coarray(geom).udof
+        if udof < 11:
+            pytest.skip("five sources are not identifiable")
+        r = exact_covariance(SourceScene.unit_powers(THETAS5), geom, 0.1)
+        for a in range(max_shrinkage(udof, 5) + 1):
+            res, _ = estimate_doas(r, geom, 5, a, method="vws-ca-rmusic")
+            err = np.max(np.abs(res.thetas - np.array(THETAS5)))
+            assert err <= 1e-8, f"a={a}: {err:.1e}"
 
     def test_scale_invariance(self):
         geom = build_nested(4, 4)
