@@ -10,8 +10,7 @@ from .estimators import (EstimationResult, Spectrum, default_grid,
                          estimate_doas, music_spectrum, noise_subspace,
                          pick_peaks, root_music, save_spectrum_csv)
 from .geometry import (ArrayGeometry, Coarray, build_mra, build_nested,
-                       build_super_nested, build_ula, difference_coarray,
-                       geometry_to_text)
+                       build_super_nested, build_ula, difference_coarray)
 from .montecarlo import (ExperimentConfig, SweepResult, rmse_sweep,
                          run_trial, write_sweep_csv, write_sweep_json)
 from .numerics import EigenDecomposition, hermitian_evd, polynomial_roots

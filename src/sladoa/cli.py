@@ -1,7 +1,8 @@
 """Command-line front end: geometry inspection, single-shot estimation,
 and Monte Carlo sweeps.
 
-Exit codes: 0 success, 1 I/O or runtime failure, 2 validation failure.
+Exit codes: 0 success, 1 I/O or runtime failure, 2 validation failure
+(a ValueError, whose message starts with the offending field).
 
 Config files are flat ``key = value`` text; ``#`` starts a comment.
 List values are whitespace- or comma-separated.  Both commands read
@@ -21,6 +22,10 @@ geometry, one a and one axis value:
   seed       = 1234
   grid       = 2000
 
+``estimate`` draws one snapshot set and runs ``estimate_doas`` on its
+sample covariance once; ``--spectrum-out`` writes the MUSIC
+pseudospectrum of the noise subspace that estimate carries.
+
 ``sweep`` runs one ``rmse_sweep`` per feasible (geometry, a) pair and
 writes them with the library writers: ``--out`` through
 ``write_sweep_csv`` (no wall-clock column, so byte-identical for any
@@ -32,30 +37,26 @@ import math
 import sys
 
 from . import __version__
-from .coarray import (coarray_signal, max_shrinkage, vws_smooth)
+from .coarray import max_shrinkage
 from .estimators import (default_grid, estimate_doas, music_spectrum,
-                         noise_subspace, save_spectrum_csv)
+                         save_spectrum_csv)
 from .geometry import (build_mra, build_nested, build_super_nested, build_ula,
-                       difference_coarray, geometry_to_text)
+                       difference_coarray)
 from .montecarlo import (ExperimentConfig, rmse_sweep, write_sweep_csv,
                          write_sweep_json)
 from .signal_model import (sample_covariance, simulate_snapshots,
                            snr_to_noise_var)
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; maps to exit code 2."""
-
-
 def parse_geometry(tokens):
     """Build a geometry from tokens like ['nested', '4', '4']."""
     if not tokens:
-        raise ConfigError("geometry: missing specification")
+        raise ValueError("geometry: missing specification")
     kind, *args = tokens
     try:
         nums = [int(v) for v in args]
     except ValueError:
-        raise ConfigError(f"geometry: non-integer parameters {args}")
+        raise ValueError(f"geometry: non-integer parameters {args}")
     try:
         if kind == "ula" and len(nums) == 1:
             return build_ula(nums[0])
@@ -66,8 +67,8 @@ def parse_geometry(tokens):
         if kind == "mra" and len(nums) == 1:
             return build_mra(nums[0])
     except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}")
-    raise ConfigError(f"geometry: unknown specification {' '.join(tokens)!r}")
+        raise ValueError(f"geometry: {exc}")
+    raise ValueError(f"geometry: unknown specification {' '.join(tokens)!r}")
 
 
 def parse_config(text: str) -> dict:
@@ -78,7 +79,7 @@ def parse_config(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {ln}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         out[key.strip()] = value.replace(",", " ").split()
     return out
@@ -87,37 +88,37 @@ def parse_config(text: str) -> dict:
 def _floats(cfg, key, default=None):
     if key not in cfg:
         if default is None:
-            raise ConfigError(f"{key}: missing required key")
+            raise ValueError(f"{key}: missing required key")
         return default
     if not cfg[key]:
-        raise ConfigError(f"{key}: empty list")
+        raise ValueError(f"{key}: empty list")
     try:
         return [float(v) for v in cfg[key]]
     except ValueError:
-        raise ConfigError(f"{key}: expected numbers, got {cfg[key]}")
+        raise ValueError(f"{key}: expected numbers, got {cfg[key]}")
 
 
 def _ints(cfg, key, default=None):
     vals = _floats(cfg, key, default)
     if not all(float(v).is_integer() for v in vals):
-        raise ConfigError(f"{key}: expected integers")
+        raise ValueError(f"{key}: expected integers")
     return [int(v) for v in vals]
 
 
 def _scalar(vals, key):
     if len(vals) != 1:
-        raise ConfigError(f"{key}: expected a single value")
+        raise ValueError(f"{key}: expected a single value")
     return vals[0]
 
 
 def cmd_geometry(args) -> int:
     try:
         geom = parse_geometry([args.kind] + [str(v) for v in args.params])
-    except ConfigError as exc:
+    except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
     ca = difference_coarray(geom)
-    print(geometry_to_text(geom))
+    print(f"{geom.name}: {' '.join(str(p) for p in geom.positions)}")
     print(f"sensors: {geom.n}  aperture: {geom.aperture}")
     print(f"UDOF: {ca.udof}  G: {ca.g}")
     holes = ca.holes
@@ -148,19 +149,19 @@ def _read_runs(args, snr_default) -> list:
         cfg = parse_config(fh.read())
     for key in cfg:
         if key not in _KEYS:
-            raise ConfigError(f"{key}: unknown key; known keys are "
-                              f"{', '.join(_KEYS)}")
+            raise ValueError(f"{key}: unknown key; known keys are "
+                             f"{', '.join(_KEYS)}")
     geom_specs = [g.split() for g in
                   " ".join(cfg.get("geometry", [])).split(";") if g.split()]
     if not geom_specs:
-        raise ConfigError("geometry: missing required key")
+        raise ValueError("geometry: missing required key")
     geometries = [parse_geometry(spec) for spec in geom_specs]
     thetas = _floats(cfg, "thetas")
     a_values = _ints(cfg, "a", [0])
     snr_vals = _floats(cfg, "snr_db", [snr_default])
     snap_vals = _ints(cfg, "snapshots", [1000])
     if len(snr_vals) > 1 and len(snap_vals) > 1:
-        raise ConfigError("snr_db/snapshots: only one may be a list (the axis)")
+        raise ValueError("snr_db/snapshots: only one may be a list (the axis)")
     if len(snap_vals) > 1:
         axis, axis_values = "snapshots", snap_vals
     else:
@@ -185,8 +186,8 @@ def _read_runs(args, snr_default) -> list:
 def cmd_estimate(args) -> int:
     runs = _read_runs(args, snr_default=math.inf)
     if len(runs) != 1 or len(runs[0].axis_values) != 1:
-        raise ConfigError("geometry/a/snr_db/snapshots: estimate takes one "
-                          "geometry, one a and one axis value")
+        raise ValueError("geometry/a/snr_db/snapshots: estimate takes one "
+                         "geometry, one a and one axis value")
     run = runs[0]
     run.validate()
     geom, d = run.geometry, len(run.thetas)
@@ -202,11 +203,9 @@ def cmd_estimate(args) -> int:
         values = np.degrees(np.arcsin(values))
     unit = "degrees" if args.degrees else "sine units"
     print(f"estimates ({unit}): " + " ".join(f"{v:.6f}" for v in values))
-    print(f"method: {result.method}  fill_count: {result.fill_count}")
+    print(f"method: {run.method}  fill_count: {result.fill_count}")
     if args.spectrum_out:
-        sm = vws_smooth(coarray_signal(r, geom), run.a)
-        spectrum = music_spectrum(noise_subspace(sm.values, d),
-                                  default_grid(run.grid_size))
+        spectrum = music_spectrum(result.noise, default_grid(run.grid_size))
         save_spectrum_csv(spectrum, args.spectrum_out)
         print(f"spectrum written to {args.spectrum_out}")
     return 0
@@ -227,7 +226,7 @@ def cmd_sweep(args) -> int:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if not results:
-        raise ConfigError("a/geometry: no feasible (geometry, a) combination")
+        raise ValueError("a/geometry: no feasible (geometry, a) combination")
 
     write_sweep_csv(results, args.out)
     sidecar_path = str(args.out) + ".config.json"
@@ -283,7 +282,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -8,7 +8,7 @@ roots that polynomial, MUSIC evaluates it on the default grid by FFT.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -44,13 +44,14 @@ class EstimationResult:
 
     ``fill_count`` counts estimates not backed by a proper peak
     (MUSIC) or taken from outside the unit circle (root variant).
+    ``estimate_doas`` attaches the noise subspace U_N it estimated from.
     """
 
     thetas: np.ndarray
-    method: str
     peaks_found: int = 0
     fill_count: int = 0
     root_moduli: Optional[np.ndarray] = None
+    noise: Optional[np.ndarray] = None
 
 
 def default_grid(size: int = 2000) -> np.ndarray:
@@ -107,36 +108,29 @@ def _grid_spectrum(noise: np.ndarray, size: int) -> Spectrum:
 def pick_peaks(s: Spectrum, d: int) -> EstimationResult:
     """Take the d largest local maxima of the spectrum.
 
-    Endpoints use one-sided comparison.  Ties break toward the smaller
-    angle.  If fewer than d maxima exist, the shortfall is filled from
-    the largest remaining grid values and counted in ``fill_count``.
-    A spectrum with fewer than d points raises ValueError.
+    Endpoints compare against -inf beyond the grid.  Ties break toward
+    the smaller angle.  If fewer than d maxima exist, the shortfall is
+    filled from the largest remaining grid values and counted in
+    ``fill_count``.  A spectrum with fewer than d points raises
+    ValueError.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     v = s.values
-    n = v.size
-    if n < d:
-        raise ValueError(f"spectrum has {n} points, fewer than d={d}")
-    if n == 1:
-        is_max = np.array([True])
-    else:
-        is_max = np.empty(n, dtype=bool)
-        is_max[0] = v[0] > v[1]
-        is_max[-1] = v[-1] > v[-2]
-        is_max[1:-1] = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
+    if v.size < d:
+        raise ValueError(f"spectrum has {v.size} points, fewer than d={d}")
+    padded = np.concatenate(([-np.inf], v, [-np.inf]))
+    is_max = (v > padded[:-2]) & (v > padded[2:])
+
+    def ranked(idx):                        # largest first, then smaller angle
+        return idx[np.lexsort((s.grid[idx], -v[idx]))]
+
     peak_idx = np.flatnonzero(is_max)
-    order = peak_idx[np.lexsort((s.grid[peak_idx], -v[peak_idx]))]
-    chosen = list(order[:d])
-    fill = 0
-    if len(chosen) < d:
-        rest = np.flatnonzero(~is_max)
-        rest = rest[np.lexsort((s.grid[rest], -v[rest]))]
-        need = d - len(chosen)
-        chosen.extend(rest[:need])
-        fill = need
-    thetas = np.sort(s.grid[np.asarray(chosen, dtype=int)])
-    return EstimationResult(thetas=thetas, method="vws-ca-music",
+    chosen = ranked(peak_idx)[:d]
+    fill = d - chosen.size
+    if fill:                                # sort the non-peak rest only here
+        chosen = np.concatenate((chosen, ranked(np.flatnonzero(~is_max))[:fill]))
+    return EstimationResult(thetas=np.sort(s.grid[chosen]),
                             peaks_found=peak_idx.size, fill_count=fill)
 
 
@@ -146,10 +140,10 @@ def root_music(noise: np.ndarray, d: int) -> EstimationResult:
 
     With C = U_N U_N^H, the coefficient of z^(k+M-1) is the sum of the
     k-th superdiagonal of C; corner sums at or below 1e-12 of the
-    largest are dropped in pairs, one from each end.  The d roots
-    inside and closest to the unit circle give theta = angle(z)/pi; if
-    fewer than d lie strictly inside, the remainder come from outside
-    by the same closeness metric and are counted in ``fill_count``.
+    largest are dropped in pairs, one from each end.  One stable sort
+    ranks the roots strictly inside the unit circle first, each side by
+    closeness | 1 - |z| |; the first d give theta = angle(z)/pi, and
+    those taken from outside are counted in ``fill_count``.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -165,41 +159,37 @@ def root_music(noise: np.ndarray, d: int) -> EstimationResult:
         t = t[1:-1]
     roots = polynomial_roots(t)
     moduli = np.abs(roots)
-    inside = roots[moduli < 1.0]
-    outside = roots[moduli >= 1.0]
-    inside = inside[np.argsort(np.abs(1.0 - np.abs(inside)), kind="stable")]
-    picked = list(inside[:d])
-    fill = 0
-    if len(picked) < d:
-        outside = outside[np.argsort(np.abs(1.0 - np.abs(outside)), kind="stable")]
-        need = d - len(picked)
-        picked.extend(outside[:need])
-        fill = need
-    picked = np.asarray(picked)
-    thetas = np.angle(picked) / np.pi
+    outside = moduli >= 1.0
+    picked = np.lexsort((np.abs(1.0 - moduli), outside))[:d]
+    thetas = np.angle(roots[picked]) / np.pi
     thetas = (thetas + 1.0) % 2.0 - 1.0          # fold angle pi onto -1
     order = np.argsort(thetas)
-    return EstimationResult(thetas=thetas[order], method="vws-ca-rmusic",
-                            fill_count=fill, root_moduli=np.abs(picked)[order])
+    return EstimationResult(thetas=thetas[order],
+                            fill_count=int(np.count_nonzero(outside[picked])),
+                            root_moduli=moduli[picked][order])
 
 
 def estimate_doas(r: np.ndarray, geom: ArrayGeometry, d: int, a: int,
                   method: str = "vws-ca-rmusic",
                   grid_size: int = 2000) -> tuple[EstimationResult, float]:
-    """Full pipeline from an N x N covariance to DOA estimates.
+    """Full pipeline from an N x N covariance to DOA estimates; the one
+    place that runs coarray, smoothing, EVD and estimator in sequence.
 
-    Returns the estimate and the wall time of the subspace EVD step.
-    MUSIC searches ``default_grid(grid_size)``.
+    Returns the estimate, with the noise subspace U_N in ``noise``, and
+    the wall time of the subspace EVD step.  MUSIC searches
+    ``default_grid(grid_size)``.
     """
     sm = vws_smooth(coarray_signal(r, geom), a)
     t0 = time.perf_counter()
     noise = noise_subspace(sm.values, d)
     evd_time = time.perf_counter() - t0
     if method == "vws-ca-music":
-        return pick_peaks(_grid_spectrum(noise, grid_size), d), evd_time
-    if method == "vws-ca-rmusic":
-        return root_music(noise, d), evd_time
-    raise ValueError(f"unknown method {method!r}")
+        result = pick_peaks(_grid_spectrum(noise, grid_size), d)
+    elif method == "vws-ca-rmusic":
+        result = root_music(noise, d)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return replace(result, noise=noise), evd_time
 
 
 def save_spectrum_csv(s: Spectrum, path) -> None:

@@ -17,7 +17,6 @@ __all__ = [
     "build_super_nested",
     "build_mra",
     "difference_coarray",
-    "geometry_to_text",
 ]
 
 
@@ -49,19 +48,28 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class Coarray:
-    """Difference set of an array: lags, pair weights, and the UDOF.
+    """Difference set of an array: the pair count of each lag.
 
     ``g`` is the one-sided extent of the maximal contiguous run of lags
     centered at 0, plus the zero lag; ``udof`` = 2g-1 counts that run.
     Lags outside the contiguous run are kept for diagnostics only.
     """
 
-    lags: tuple[int, ...]
     weights: Mapping[int, int]
-    g: int
 
     def __post_init__(self):
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+
+    @property
+    def lags(self) -> tuple[int, ...]:
+        return tuple(sorted(self.weights))
+
+    @property
+    def g(self) -> int:
+        half = 0
+        while half + 1 in self.weights:
+            half += 1
+        return half + 1
 
     @property
     def udof(self) -> int:
@@ -71,25 +79,14 @@ class Coarray:
     def holes(self) -> tuple[int, ...]:
         """Positive lags between the contiguous segment and the aperture
         that no sensor pair produces."""
-        top = max(self.lags)
-        present = set(self.lags)
-        return tuple(l for l in range(self.g, top) if l not in present)
+        return tuple(l for l in range(self.g, max(self.weights))
+                     if l not in self.weights)
 
 
 def difference_coarray(geom: ArrayGeometry) -> Coarray:
     """Compute the difference coarray of a geometry."""
-    weights = Counter(
-        a - b for a in geom.positions for b in geom.positions
-    )
-    lag_set = set(weights)
-    half = 0
-    while half + 1 in lag_set:
-        half += 1
-    return Coarray(
-        lags=tuple(sorted(lag_set)),
-        weights=dict(weights),
-        g=half + 1,
-    )
+    return Coarray(Counter(a - b for a in geom.positions
+                           for b in geom.positions))
 
 
 def build_ula(n: int) -> ArrayGeometry:
@@ -172,7 +169,3 @@ def build_mra(n: int) -> ArrayGeometry:
         )
     return ArrayGeometry(f"mra({n})", _MRA_TABLE[n])
 
-
-def geometry_to_text(geom: ArrayGeometry) -> str:
-    """One-line export: ``name: p0 p1 p2 ...``."""
-    return f"{geom.name}: {' '.join(str(p) for p in geom.positions)}"

@@ -32,6 +32,7 @@ __all__ = [
 
 _METHODS = ("vws-ca-music", "vws-ca-rmusic")
 _AXES = ("snr", "snapshots")
+_INTEGER_FIELDS = ("a", "snapshots", "trials", "seed", "grid_size")
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
+        for field in _INTEGER_FIELDS:       # 3.0 runs, and is written, as 3
+            v = getattr(self, field)
+            if isinstance(v, float) and v.is_integer():
+                object.__setattr__(self, field, int(v))
         object.__setattr__(self, "axis_values", tuple(self.axis_values))
         if not self.powers:
             object.__setattr__(self, "powers", (1.0,) * len(self.thetas))
@@ -88,6 +93,8 @@ class ExperimentConfig:
             raise ValueError("snapshots: must be an integer >= 1")
         if not _is_count(self.trials):
             raise ValueError("trials: must be an integer >= 1")
+        if not _is_count(self.seed, least=0):
+            raise ValueError("seed: must be an integer >= 0")
         if not (_is_count(self.grid_size) and self.grid_size >= 2):
             raise ValueError("grid_size: must be an integer >= 2")
         if self.method == "vws-ca-music" and self.grid_size < d:
@@ -104,9 +111,10 @@ class ExperimentConfig:
             )
 
 
-def _is_count(v) -> bool:
-    """True for an integer-valued number >= 1 (100.0 counts, 100.7 not)."""
-    return float(v).is_integer() and v >= 1
+def _is_count(v, least: int = 1) -> bool:
+    """True for an integer-valued number >= least (100.0 counts, 100.7
+    not)."""
+    return float(v).is_integer() and v >= least
 
 
 @dataclass(frozen=True)
@@ -126,12 +134,12 @@ class SweepResult:
 
 def trial_seed(master: int, axis_index: int, trial_index: int):
     """Documented stream split: SeedSequence over the three indices."""
-    return np.random.SeedSequence([int(master), int(axis_index), int(trial_index)])
+    return np.random.SeedSequence([master, axis_index, trial_index])
 
 
 def _resolve(cfg: ExperimentConfig, axis_value):
     if cfg.axis == "snr":
-        return int(cfg.snapshots), snr_to_noise_var(float(axis_value))
+        return cfg.snapshots, snr_to_noise_var(float(axis_value))
     return int(axis_value), snr_to_noise_var(cfg.snr_db)
 
 
@@ -143,9 +151,9 @@ def run_trial(cfg: ExperimentConfig, axis_value, axis_index: int,
     seed = trial_seed(cfg.seed, axis_index, trial_index)
     snaps = simulate_snapshots(cfg.scene, cfg.geometry, t, noise_var, seed)
     r = sample_covariance(snaps)
-    result, evd_time = estimate_doas(r, cfg.geometry, len(cfg.thetas),
-                                     int(cfg.a), method=cfg.method,
-                                     grid_size=int(cfg.grid_size))
+    result, evd_time = estimate_doas(r, cfg.geometry, len(cfg.thetas), cfg.a,
+                                     method=cfg.method,
+                                     grid_size=cfg.grid_size)
     err = result.thetas - np.asarray(cfg.thetas)
     return err * err, result.fill_count, evd_time
 
@@ -169,7 +177,7 @@ def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     cfg.validate()
     if workers < 1:
         raise ValueError("workers: must be >= 1")
-    k, d = int(cfg.trials), len(cfg.thetas)
+    k, d = cfg.trials, len(cfg.thetas)
     workers = min(workers, k)               # an idle worker is a wasted fork
     bounds = np.linspace(0, k, workers + 1, dtype=int).tolist()
     rmse, fills, mean_t = [], [], []

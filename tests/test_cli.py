@@ -8,7 +8,8 @@ import json
 
 import pytest
 
-from sladoa.cli import ConfigError, main, parse_config, parse_geometry
+from sladoa.cli import main, parse_config, parse_geometry
+from sladoa.numerics import hermitian_evd
 
 ESTIMATE_CFG = """\
 # three sources, noiseless
@@ -50,13 +51,14 @@ INVALID_SETTINGS = [
     (("vws-ca-rmusic", "vws-ca-music\ngrid = 2"), "grid_size:"),
     (("snapshots = 400", "snapshots = 0"), "snapshots:"),
     (("seed = 7", "seed = 7\nsnr = 5"), "snr: unknown key"),
+    (("seed = 7", "seed = -1"), "seed:"),
 ]
 
 
 @pytest.mark.parametrize("command", ["estimate", "sweep"])
 @pytest.mark.parametrize("edit,field", INVALID_SETTINGS,
                          ids=["a", "method", "snr_db", "grid", "snapshots",
-                              "unknown_key"])
+                              "unknown_key", "seed"])
 def test_invalid_setting_exits_2(tmp_path, capsys, command, edit, field):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(ESTIMATE_CFG.replace(*edit))
@@ -72,7 +74,7 @@ class TestParsing:
         assert cfg == {"a": ["1", "2"], "b": ["x", "y"]}
 
     def test_parse_config_rejects_bare_line(self):
-        with pytest.raises(ConfigError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1"):
             parse_config("not a pair\n")
 
     def test_parse_geometry_kinds(self):
@@ -80,7 +82,7 @@ class TestParsing:
         assert parse_geometry(["super-nested", "4", "4"]).name == "snaq2(4,4)"
 
     def test_parse_geometry_rejects_unknown(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="geometry:"):
             parse_geometry(["circular", "8"])
 
 
@@ -148,6 +150,16 @@ class TestEstimateCommand:
         lines = spec.read_text().splitlines()
         assert lines[0] == "theta,value"
         assert len(lines) == 2001
+
+    def test_spectrum_out_reuses_the_estimate(self, tmp_path, capsys,
+                                              monkeypatch):
+        calls = []
+        monkeypatch.setattr("sladoa.estimators.hermitian_evd",
+                            lambda m: calls.append(m) or hermitian_evd(m))
+        cfg = self.write_cfg(tmp_path)
+        spec = str(tmp_path / "spec.csv")
+        assert main(["estimate", cfg, "--spectrum-out", spec]) == 0
+        assert len(calls) == 1
 
     def test_infeasible_a_exits_2(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, ESTIMATE_CFG.replace("a = 3", "a = 17"))

@@ -173,6 +173,11 @@ class TestPickPeaks:
         res = pick_peaks(Spectrum(grid, v), 1)
         assert res.thetas[0] == grid[30]
 
+    def test_single_point_spectrum(self):
+        res = pick_peaks(Spectrum(np.array([0.25]), np.array([3.0])), 1)
+        np.testing.assert_array_equal(res.thetas, [0.25])
+        assert (res.peaks_found, res.fill_count) == (1, 0)
+
     def test_rejects_fewer_points_than_sources(self):
         grid = default_grid(2)
         with pytest.raises(ValueError, match="fewer than d=3"):
@@ -204,6 +209,23 @@ class TestRootMusic:
     def test_rejects_small_window(self):
         with pytest.raises(ValueError):
             root_music(np.ones((1, 1)), 1)
+
+    def test_fills_from_outside_after_every_inside_root(self):
+        # one noise vector u with sum_j conj(u_j) z^j = (z - r1)(z - r2):
+        # the roots are r1 = 0.8 e^{j pi/4} and r2 = 0.5 e^{-j pi/2}, and
+        # their mirrors 1.25 e^{j pi/4} and 2 e^{-j pi/2} outside.  Both
+        # inside roots rank first, although 1.25 e^{j pi/4} is closer to
+        # the circle than r2; that mirror then fills the third pick.
+        r1, r2 = 0.8 * np.exp(0.25j * np.pi), 0.5 * np.exp(-0.5j * np.pi)
+        u = np.conj(np.poly([r1, r2])[::-1])[:, None]
+        assert root_music(u, 2).fill_count == 0
+        res = root_music(u, 3)
+        assert res.fill_count == 1
+        np.testing.assert_allclose(res.thetas, [-0.5, 0.25, 0.25], atol=1e-12)
+        # the last two share an angle, so rounding decides their order
+        picks = sorted(zip(np.round(res.thetas, 9), res.root_moduli))
+        np.testing.assert_allclose(picks, [(-0.5, 0.5), (0.25, 0.8),
+                                           (0.25, 1.25)], atol=1e-12)
 
 
 class TestEndToEnd:

@@ -61,17 +61,28 @@ class TestConfigValidation:
         make_cfg(axis="snapshots", axis_values=(100.0, 200.0)).validate()
 
     @pytest.mark.parametrize("field, value", [("trials", 2.5), ("a", 1.5),
-                                              ("grid_size", 2000.5)])
+                                              ("grid_size", 2000.5),
+                                              ("seed", 1.5), ("seed", -1)])
     def test_rejects_non_integer_settings(self, field, value):
         cfg = make_cfg(**{"method": "vws-ca-music", "trials": 2,
                           field: value})
         with pytest.raises(ValueError, match=f"{field}:"):
             rmse_sweep(cfg)
 
-    def test_integer_valued_floats_run_as_integers(self):
+    def test_integer_valued_floats_run_as_integers(self, tmp_path):
         as_int = make_cfg(method="vws-ca-music", trials=2, a=3, grid_size=200)
-        as_float = replace(as_int, trials=2.0, a=3.0, grid_size=200.0)
-        assert rmse_sweep(as_float).rmse == rmse_sweep(as_int).rmse
+        as_float = replace(as_int, trials=2.0, a=3.0, grid_size=200.0,
+                           snapshots=200.0, seed=99.0)
+        outputs = []
+        for name, cfg in (("int", as_int), ("float", as_float)):
+            csv_path, json_path = (tmp_path / f"{name}.csv",
+                                    tmp_path / f"{name}.json")
+            result = rmse_sweep(cfg)
+            write_sweep_csv([result], csv_path)
+            write_sweep_json([result], json_path)
+            outputs.append((result.rmse, csv_path.read_bytes(),
+                            json.loads(json_path.read_text())[0]["config"]))
+        assert outputs[0] == outputs[1]
 
     def test_rejects_music_grid_below_sources(self):
         with pytest.raises(ValueError, match="grid_size:.*fewer than d=3"):

@@ -1,5 +1,5 @@
 """Package surface: every public name is re-exported by ``sladoa``, and
-no module imports a name it never uses."""
+no module or test file imports a name it never uses."""
 
 import ast
 import importlib
@@ -12,6 +12,7 @@ import sladoa
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(sladoa.__path__))
 SOURCES = sorted(Path(sladoa.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -23,7 +24,7 @@ def test_public_names_reexported(name):
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES
-                                  if p.name != "__init__.py"],
+                                  if p.name != "__init__.py"] + TESTS,
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text())
