@@ -1,7 +1,10 @@
-"""Numeric kernels: Hermitian EVD and complex polynomial rooting.
+"""Numeric kernels: Hermitian EVD and polynomial rooting.
 
 Both delegate to LAPACK via numpy; the contracts (residual and
 orthonormality tolerances) are what the rest of the package relies on.
+Real coefficients stay real, so root-MUSIC's Cayley-mapped polynomial
+is rooted by the real companion EVD, several times cheaper than the
+complex one.
 """
 
 from dataclasses import dataclass
@@ -37,8 +40,12 @@ def hermitian_evd(m: np.ndarray) -> EigenDecomposition:
 
 def polynomial_roots(coeffs) -> np.ndarray:
     """All roots (with multiplicity) of a polynomial given by ascending
-    coefficients, via the balanced companion matrix."""
-    c = np.trim_zeros(np.asarray(coeffs, dtype=complex), trim="b")
+    coefficients, via the balanced companion matrix.  Real coefficients
+    reach LAPACK as float64 (all-real roots then come back as float64);
+    others are cast to complex128."""
+    c = np.asarray(coeffs)
+    c = np.trim_zeros(c.astype(complex if np.iscomplexobj(c) else float),
+                      trim="b")
     if c.size == 0:
         raise ValueError("zero polynomial has no well-defined roots")
     if c.size == 1:

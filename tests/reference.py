@@ -5,9 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sladoa.estimators import EstimationResult, _noise_polynomial
 from sladoa.geometry import (ArrayGeometry, Coarray, build_mra, build_nested,
                              build_super_nested, build_ula,
                              difference_coarray)
+from sladoa.numerics import polynomial_roots
 from sladoa.signal_model import SourceScene, steering_matrix
 
 # Every builder, at sizes up to mra(10) (UDOF 73, largest window M = 37).
@@ -83,3 +85,27 @@ def pairwise_lag_average(r: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
                 sums[pj - pi + g - 1] += r[i, j]
                 counts[pj - pi + g - 1] += 1
     return sums / counts
+
+
+def companion_root_music(noise: np.ndarray, d: int) -> EstimationResult:
+    """root-MUSIC through the complex companion matrix of the noise
+    polynomial itself, degree 2M - 2: the direct formulation that the
+    package's real, Cayley-mapped rooting must reproduce.
+
+    Corner deflation and the ranking rule are the package's: roots
+    strictly inside the unit circle first, each side by | 1 - |z| |.
+    """
+    t = _noise_polynomial(np.asarray(noise))
+    tol = 1e-12 * np.abs(t).max()
+    while t.size > 3 and abs(t[-1]) <= tol:
+        t = t[1:-1]
+    roots = polynomial_roots(t.astype(complex))
+    moduli = np.abs(roots)
+    outside = moduli >= 1.0
+    picked = np.lexsort((np.abs(1.0 - moduli), outside))[:d]
+    thetas = np.angle(roots[picked]) / np.pi
+    thetas = (thetas + 1.0) % 2.0 - 1.0          # fold angle pi onto -1
+    order = np.argsort(thetas)
+    return EstimationResult(thetas=thetas[order],
+                            fill_count=int(np.count_nonzero(outside[picked])),
+                            root_moduli=moduli[picked][order])

@@ -1,6 +1,8 @@
 """Estimators against the population oracle: exact covariances must be
 resolved exactly (up to grid resolution for MUSIC)."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,13 @@ from sladoa.signal_model import (SourceScene, exact_covariance,
                                  sample_covariance, simulate_snapshots,
                                  steering_matrix)
 
-from reference import BUILDER_GEOMETRIES
+from reference import BUILDER_GEOMETRIES, companion_root_music
 
 THETAS3 = (-0.8, 0.0, 0.8)
 THETAS5 = (-0.8, -0.4, 0.0, 0.4, 0.8)
+# theta = -1 is endfire, z = -1: an estimate may land just below +1
+ENDFIRE3 = (-1.0, 0.0, 0.5)
+ENDFIRE5 = (-1.0, -0.4, 0.0, 0.4, 0.8)
 
 
 def population_smoothed(geom, thetas, noise_var, a):
@@ -26,14 +31,30 @@ def population_smoothed(geom, thetas, noise_var, a):
     return vws_smooth(coarray_signal(r, geom), a)
 
 
+def wrapped_error(estimates, thetas):
+    """Largest difference between two sets of thetas, each sorted after
+    reading values within 1e-3 below +1 as the same directions just
+    below -1."""
+    def fold(v):
+        v = np.asarray(v)
+        return np.sort(np.where(v > 1 - 1e-3, v - 2, v))
+    return np.max(np.abs(fold(estimates) - fold(thetas)))
+
+
+def sampled_subspace(geom, thetas, a, snapshots, noise_var, seed):
+    """Noise subspace of the smoothed sample covariance of one draw."""
+    scene = SourceScene.unit_powers(thetas)
+    snaps = simulate_snapshots(scene, geom, snapshots, noise_var, seed=seed)
+    sm = vws_smooth(coarray_signal(sample_covariance(snaps), geom), a)
+    return noise_subspace(sm.values, len(thetas))
+
+
 def sampled_noise(geom):
     """Noise subspace and source count d at the largest window (a = 0)
     of a seeded sample covariance with up to three sources."""
     d = min(3, (difference_coarray(geom).udof - 1) // 2)
-    scene = SourceScene.unit_powers(tuple(np.linspace(-0.6, 0.6, d)))
-    snaps = simulate_snapshots(scene, geom, 200, 1.0, seed=5)
-    sm = vws_smooth(coarray_signal(sample_covariance(snaps), geom), 0)
-    return noise_subspace(sm.values, d), d
+    thetas = tuple(np.linspace(-0.6, 0.6, d))
+    return sampled_subspace(geom, thetas, 0, 200, 1.0, 5), d
 
 
 def trace_coefficients(noise):
@@ -184,6 +205,7 @@ class TestPickPeaks:
             pick_peaks(Spectrum(grid, np.array([1.0, 2.0])), 3)
 
 
+@pytest.mark.filterwarnings("error")
 class TestRootMusic:
     def test_population_exact(self):
         geom = build_nested(4, 4)
@@ -192,8 +214,25 @@ class TestRootMusic:
         assert np.max(np.abs(res.thetas - np.array(THETAS3))) < 1e-6
 
     def test_two_by_two_hand_case(self):
+        # t = (0, 1, 0): the Cayley polynomial is 1 + x^2, whose roots
+        # x = j and x = -j are z = 0 and z = infinity
         res = root_music(np.array([[1.0], [0.0]]), 1)
         assert res.thetas[0] == pytest.approx(0.0)
+        assert (res.fill_count, res.root_moduli[0]) == (0, 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_noise_vector_pairs_double_roots(self, seed):
+        # M = D + 1: the noise polynomial is |u^H a(z)|^2, so every root
+        # is a double root on the unit circle; its two copies must split
+        # into one inside and one outside, or one source is picked twice
+        noise = sampled_subspace(build_ula(4), THETAS3, 0, 200, 0.1, seed)
+        res = root_music(noise, 3)
+        assert noise.shape == (4, 1)
+        assert np.min(np.diff(res.thetas)) > 0.4
+        assert res.fill_count == 0
+        ref = companion_root_music(noise, 3)
+        assert ref.fill_count == 0
+        assert np.max(np.abs(res.thetas - ref.thetas)) <= 1e-7
 
     def test_reciprocal_root_symmetry(self):
         geom = build_nested(4, 4)
@@ -245,15 +284,25 @@ class TestEndToEnd:
     def test_root_music_five_sources_every_a(self, geom):
         # THETAS5 in z are the 5th roots of unity; at some a the corner
         # coefficients of the noise polynomial vanish to ~1e-18 of the
-        # largest, and only deflating them keeps the roots exact
+        # largest, and only deflating them keeps the roots exact.  The
+        # endfire scenes put a root at z = -1, the pole of an unrotated
+        # Cayley map.  Three-source scenes run where five do not fit.
         udof = difference_coarray(geom).udof
-        if udof < 11:
-            pytest.skip("five sources are not identifiable")
-        r = exact_covariance(SourceScene.unit_powers(THETAS5), geom, 0.1)
-        for a in range(max_shrinkage(udof, 5) + 1):
-            res, _ = estimate_doas(r, geom, 5, a, method="vws-ca-rmusic")
-            err = np.max(np.abs(res.thetas - np.array(THETAS5)))
-            assert err <= 1e-8, f"a={a}: {err:.1e}"
+        scenes = [th for th in (THETAS3, THETAS5, ENDFIRE3, ENDFIRE5)
+                  if udof >= 2 * len(th) + 1]
+        if not scenes:
+            pytest.skip("three sources are not identifiable")
+        for thetas in scenes:
+            d = len(thetas)
+            for noise_var in (1.0, 0.1):
+                scene = SourceScene.unit_powers(thetas)
+                r = exact_covariance(scene, geom, noise_var)
+                for a in range(max_shrinkage(udof, d) + 1):
+                    res, _ = estimate_doas(r, geom, d, a,
+                                           method="vws-ca-rmusic")
+                    err = wrapped_error(res.thetas, thetas)
+                    assert err <= 1e-8, (f"{thetas}, noise {noise_var}, "
+                                         f"a={a}: {err:.1e}")
 
     def test_scale_invariance(self):
         geom = build_nested(4, 4)
@@ -284,3 +333,32 @@ class TestEndToEnd:
         r = exact_covariance(SourceScene((0.0,), (1.0,)), geom, 1.0)
         with pytest.raises(ValueError):
             estimate_doas(r, geom, 1, 0, method="esprit")
+
+
+@pytest.mark.parametrize("geom", BUILDER_GEOMETRIES, ids=lambda g: g.name)
+def test_root_music_matches_companion_rooting(geom):
+    """The real, Cayley-mapped rooting against the complex companion
+    matrix of the noise polynomial, on sampled scenes: D = 3 and 5 where
+    identifiable, a at 0, a_max // 2 and a_max, T = 20, 100 and 1000, at
+    0 and 10 dB, three seeds each.  Where M = D + 1 every root is a
+    double root and the two paths differ at the sqrt(eps) floor, up to
+    ~3e-8; elsewhere they agree to 1e-10."""
+    udof = difference_coarray(geom).udof
+    scenes = [th for th in (THETAS3, THETAS5) if udof >= 2 * len(th) + 1]
+    if not scenes:
+        pytest.skip("three sources are not identifiable")
+    for thetas in scenes:
+        d = len(thetas)
+        a_max = max_shrinkage(udof, d)
+        for a in sorted({0, a_max // 2, a_max}):
+            for snapshots in (20, 100, 1000):
+                for noise_var, seed in product((1.0, 0.1), range(3)):
+                    noise = sampled_subspace(geom, thetas, a, snapshots,
+                                             noise_var, seed)
+                    res = root_music(noise, d)
+                    ref = companion_root_music(noise, d)
+                    where = (f"d={d}, a={a}, T={snapshots}, "
+                             f"noise {noise_var}, seed {seed}")
+                    assert res.fill_count == ref.fill_count, where
+                    err = wrapped_error(res.thetas, ref.thetas)
+                    assert err <= 1e-7, f"{where}: {err:.1e}"

@@ -1,4 +1,5 @@
-"""Numeric kernel contracts: EVD residuals and root residuals."""
+"""Numeric kernel contracts: EVD residuals, root residuals, and the
+real-coefficient rooting path."""
 
 import numpy as np
 import pytest
@@ -81,3 +82,25 @@ class TestPolynomialRoots:
     def test_trims_trailing_zeros(self):
         roots = polynomial_roots([-1, 0, 1, 0, 0])
         assert roots.size == 2
+
+    @pytest.mark.parametrize("degree", [2, 8, 38, 72])
+    def test_real_coefficients_match_complex_cast(self, degree):
+        # 72 is root-MUSIC's degree at M = 37
+        c = np.random.default_rng(degree).standard_normal(degree + 1)
+        roots = polynomial_roots(c)
+        cast = polynomial_roots(c.astype(complex))
+        assert roots.size == cast.size == degree
+        for z in roots:
+            assert np.min(np.abs(cast - z)) <= 1e-12 * max(1.0, abs(z))
+
+    @pytest.mark.parametrize("coeffs", [[-1, 0, 1], [-1.0, 0.0, 1.0],
+                                        np.array([-1, 0, 1], np.float32)])
+    def test_real_coefficients_reach_lapack_as_float64(self, coeffs):
+        # a complex companion matrix always yields complex eigenvalues;
+        # only the real float64 one returns float64 for a real spectrum
+        roots = polynomial_roots(coeffs)
+        assert roots.dtype == np.float64
+        np.testing.assert_allclose(np.sort(roots), [-1.0, 1.0], atol=1e-12)
+
+    def test_complex_coefficients_stay_complex(self):
+        assert polynomial_roots([-1, 0, 1 + 0j]).dtype == np.complex128
