@@ -22,9 +22,10 @@ geometry, one a and one axis value:
   seed       = 1234
   grid       = 2000
 
-``estimate`` draws one snapshot set and runs ``estimate_doas`` on its
-sample covariance once; ``--spectrum-out`` writes the MUSIC
-pseudospectrum of the noise subspace that estimate carries.
+``estimate`` runs one ``estimate_trial``, the draw and estimate of a
+single Monte Carlo trial, seeded with ``seed``; ``--spectrum-out``
+writes the MUSIC pseudospectrum of the noise subspace that estimate
+carries.
 
 ``sweep`` runs one ``rmse_sweep`` per feasible (geometry, a) pair and
 writes them with the library writers: ``--out`` through
@@ -38,14 +39,11 @@ import sys
 
 from . import __version__
 from .coarray import max_shrinkage
-from .estimators import (default_grid, estimate_doas, music_spectrum,
-                         save_spectrum_csv)
+from .estimators import default_grid, music_spectrum, save_spectrum_csv
 from .geometry import (build_mra, build_nested, build_super_nested, build_ula,
                        difference_coarray)
-from .montecarlo import (ExperimentConfig, rmse_sweep, write_sweep_csv,
-                         write_sweep_json)
-from .signal_model import (sample_covariance, simulate_snapshots,
-                           snr_to_noise_var)
+from .montecarlo import (ExperimentConfig, estimate_trial, rmse_sweep,
+                         write_sweep_csv, write_sweep_json)
 
 
 def parse_geometry(tokens):
@@ -190,12 +188,7 @@ def cmd_estimate(args) -> int:
                          "geometry, one a and one axis value")
     run = runs[0]
     run.validate()
-    geom, d = run.geometry, len(run.thetas)
-    snaps = simulate_snapshots(run.scene, geom, run.snapshots,
-                               snr_to_noise_var(run.snr_db), run.seed)
-    r = sample_covariance(snaps)
-    result, _ = estimate_doas(r, geom, d, run.a, method=run.method,
-                              grid_size=run.grid_size)
+    result, _ = estimate_trial(run, run.axis_values[0], run.seed)
 
     values = result.thetas
     if args.degrees:

@@ -35,6 +35,7 @@ __all__ = [
     "save_spectrum_csv",
 ]
 
+_METHODS = ("vws-ca-music", "vws-ca-rmusic")
 _DENOM_FLOOR = 1e-18
 
 
@@ -61,9 +62,9 @@ class EstimationResult:
 
 
 def default_grid(size: int = 2000) -> np.ndarray:
-    """Uniform grid over [-1, 1) with ``size`` points."""
-    if size < 1:
-        raise ValueError("grid size must be >= 1")
+    """Uniform grid over [-1, 1) with ``size`` points, an integer >= 1."""
+    if not (float(size).is_integer() and size >= 1):
+        raise ValueError(f"grid size must be an integer >= 1, got {size}")
     return -1.0 + 2.0 * np.arange(size) / size
 
 
@@ -248,16 +249,16 @@ def estimate_doas(r: np.ndarray, geom: ArrayGeometry, d: int, a: int,
     the wall time of the subspace EVD step.  MUSIC searches
     ``default_grid(grid_size)``.
     """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
     sm = vws_smooth(coarray_signal(r, geom), a)
     t0 = time.perf_counter()
     noise = noise_subspace(sm.values, d)
     evd_time = time.perf_counter() - t0
     if method == "vws-ca-music":
         result = pick_peaks(_grid_spectrum(noise, grid_size), d)
-    elif method == "vws-ca-rmusic":
-        result = root_music(noise, d)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        result = root_music(noise, d)
     return replace(result, noise=noise), evd_time
 
 

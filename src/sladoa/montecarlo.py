@@ -11,12 +11,12 @@ import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
 from .coarray import max_shrinkage
-from .estimators import estimate_doas
+from .estimators import _METHODS, estimate_doas
 from .geometry import ArrayGeometry, difference_coarray
 from .signal_model import (SourceScene, sample_covariance,
                            simulate_snapshots, snr_to_noise_var)
@@ -24,13 +24,13 @@ from .signal_model import (SourceScene, sample_covariance,
 __all__ = [
     "ExperimentConfig",
     "SweepResult",
+    "estimate_trial",
     "run_trial",
     "rmse_sweep",
     "write_sweep_csv",
     "write_sweep_json",
 ]
 
-_METHODS = ("vws-ca-music", "vws-ca-rmusic")
 _AXES = ("snr", "snapshots")
 _INTEGER_FIELDS = ("a", "snapshots", "trials", "seed", "grid_size")
 
@@ -137,36 +137,45 @@ def trial_seed(master: int, axis_index: int, trial_index: int):
     return np.random.SeedSequence([master, axis_index, trial_index])
 
 
-def _resolve(cfg: ExperimentConfig, axis_value):
+def estimate_trial(cfg: ExperimentConfig, axis_value, seed):
+    """Draw one snapshot set of ``cfg`` at ``axis_value`` from ``seed``
+    and estimate from its sample covariance; returns what
+    ``estimate_doas`` returns, (EstimationResult, EVD wall time)."""
     if cfg.axis == "snr":
-        return cfg.snapshots, snr_to_noise_var(float(axis_value))
-    return int(axis_value), snr_to_noise_var(cfg.snr_db)
+        t, noise_var = cfg.snapshots, snr_to_noise_var(float(axis_value))
+    else:
+        t, noise_var = int(axis_value), snr_to_noise_var(cfg.snr_db)
+    snaps = simulate_snapshots(cfg.scene, cfg.geometry, t, noise_var, seed)
+    return estimate_doas(sample_covariance(snaps), cfg.geometry,
+                         len(cfg.thetas), cfg.a, method=cfg.method,
+                         grid_size=cfg.grid_size)
 
 
 def run_trial(cfg: ExperimentConfig, axis_value, axis_index: int,
               trial_index: int):
-    """One end-to-end trial; returns (squared errors per source,
-    fill count, EVD wall time)."""
-    t, noise_var = _resolve(cfg, axis_value)
-    seed = trial_seed(cfg.seed, axis_index, trial_index)
-    snaps = simulate_snapshots(cfg.scene, cfg.geometry, t, noise_var, seed)
-    r = sample_covariance(snaps)
-    result, evd_time = estimate_doas(r, cfg.geometry, len(cfg.thetas), cfg.a,
-                                     method=cfg.method,
-                                     grid_size=cfg.grid_size)
-    err = result.thetas - np.asarray(cfg.thetas)
-    return err * err, result.fill_count, evd_time
+    """One end-to-end trial; returns (squared errors per source, fill
+    count, EVD wall time).
+
+    Errors are scored on the circle θ ≡ θ + 2: the sorted estimates are
+    paired with the sorted thetas by the cyclic shift with the least sum
+    of squared errors (the unshifted pairing on a tie), and each
+    difference is taken modulo 2 into [-1, 1].  So a source at θ = -1
+    estimated just below +1 scores its small error.
+    """
+    result, evd_time = estimate_trial(
+        cfg, axis_value, trial_seed(cfg.seed, axis_index, trial_index))
+    d = len(cfg.thetas)
+    shifts = (np.arange(d)[:, None] + np.arange(d)) % d    # row s: shift s
+    err = result.thetas[shifts] - cfg.thetas
+    err -= 2.0 * np.rint(err / 2.0)
+    sq = err * err
+    return sq[sq.sum(axis=1).argmin()], result.fill_count, evd_time
 
 
 def _run_chunk(cfg: ExperimentConfig, axis_value, axis_index: int,
                start: int, stop: int):
-    d = len(cfg.thetas)
-    sq = np.empty((stop - start, d))
-    fills = np.empty(stop - start, dtype=int)
-    times = np.empty(stop - start)
-    for i, trial in enumerate(range(start, stop)):
-        sq[i], fills[i], times[i] = run_trial(cfg, axis_value, axis_index, trial)
-    return sq, fills, times
+    return [run_trial(cfg, axis_value, axis_index, trial)
+            for trial in range(start, stop)]
 
 
 def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
@@ -187,7 +196,8 @@ def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
         for ai, av in enumerate(cfg.axis_values):
             chunks = run(_run_chunk, repeat(cfg), repeat(av), repeat(ai),
                          bounds[:-1], bounds[1:])
-            sq, fl, tm = (np.concatenate(parts) for parts in zip(*chunks))
+            sq, fl, tm = (np.array(column)
+                          for column in zip(*chain.from_iterable(chunks)))
             rmse.append(float(np.sqrt(np.sum(sq) / (k * d))))
             fills.append(int(np.sum(fl)))
             mean_t.append(float(np.mean(tm)))

@@ -9,6 +9,8 @@ import json
 import pytest
 
 from sladoa.cli import main, parse_config, parse_geometry
+from sladoa.geometry import build_mra, build_nested
+from sladoa.montecarlo import ExperimentConfig, rmse_sweep, write_sweep_csv
 from sladoa.numerics import hermitian_evd
 
 ESTIMATE_CFG = """\
@@ -206,6 +208,18 @@ class TestSweepCommand:
         with open(out, newline="") as fh:
             names = {row[0] for row in csv.reader(fh)} - {"geometry"}
         assert names == {"nested(4,4)", "mra(8)"}
+
+    def test_csv_matches_library_writer(self, tmp_path, capsys):
+        code, out, _ = self.run_sweep(tmp_path, capsys)
+        assert code == 0
+        runs = [ExperimentConfig(
+            geometry=geom, thetas=(-0.8, 0.0, 0.8), method="vws-ca-music",
+            a=a, snapshots=200, snr_db=0.0, axis="snr",
+            axis_values=(0.0, 10.0), trials=8, seed=11, grid_size=600)
+            for geom in (build_nested(4, 4), build_mra(8)) for a in (0, 3)]
+        library = tmp_path / "library.csv"
+        write_sweep_csv([rmse_sweep(run) for run in runs], library)
+        assert out.read_bytes() == library.read_bytes()
 
     def test_csv_identical_across_workers(self, tmp_path, capsys):
         outs = []

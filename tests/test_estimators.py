@@ -117,6 +117,14 @@ class TestMusicSpectrum:
         assert np.all(np.isfinite(spec.values))
         assert np.all(spec.values > 0)
 
+    @pytest.mark.parametrize("size", [0, -3, 2.5, float("nan"), float("inf")])
+    def test_default_grid_rejects_non_count(self, size):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            default_grid(size)
+
+    def test_default_grid_accepts_integer_valued_float(self):
+        np.testing.assert_array_equal(default_grid(3.0), default_grid(3))
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             music_spectrum(np.eye(3), [])
@@ -328,11 +336,16 @@ class TestEndToEnd:
         res, _ = estimate_doas(r, geom, 9, 0, method="vws-ca-rmusic")
         assert np.max(np.abs(res.thetas - np.array(thetas))) < 1e-6
 
-    def test_unknown_method(self):
+    def test_unknown_method(self, monkeypatch):
+        calls = []
+        for stage in ("coarray_signal", "hermitian_evd"):
+            monkeypatch.setattr(f"sladoa.estimators.{stage}",
+                                lambda *args, stage=stage: calls.append(stage))
         geom = build_ula(4)
         r = exact_covariance(SourceScene((0.0,), (1.0,)), geom, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown method 'esprit'"):
             estimate_doas(r, geom, 1, 0, method="esprit")
+        assert calls == []                  # rejected before any stage runs
 
 
 @pytest.mark.parametrize("geom", BUILDER_GEOMETRIES, ids=lambda g: g.name)

@@ -11,9 +11,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from sladoa.geometry import build_nested
-from sladoa.montecarlo import (ExperimentConfig, rmse_sweep, run_trial,
-                               trial_seed, write_sweep_csv, write_sweep_json)
+from sladoa.geometry import build_mra, build_nested
+from sladoa.montecarlo import (ExperimentConfig, estimate_trial, rmse_sweep,
+                               run_trial, trial_seed, write_sweep_csv,
+                               write_sweep_json)
 
 THETAS3 = (-0.8, 0.0, 0.8)
 
@@ -104,6 +105,27 @@ class TestRunTrial:
         a = run_trial(cfg, 10.0, 1, 5)
         b = run_trial(cfg, 10.0, 1, 5)
         np.testing.assert_array_equal(a[0], b[0])
+
+    def test_draws_through_estimate_trial(self):
+        cfg = make_cfg()
+        result, evd_time = estimate_trial(cfg, 10.0, trial_seed(99, 1, 5))
+        sq, fills, _ = run_trial(cfg, 10.0, 1, 5)
+        err = result.thetas - np.asarray(THETAS3)
+        np.testing.assert_array_equal(sq, err * err)
+        assert fills == result.fill_count and evd_time >= 0.0
+
+    def test_errors_wrap_at_endfire(self):
+        # theta = -1 and +1 are one direction; an estimate of the endfire
+        # source just below +1 sorts last and must still pair with -1
+        cfg = make_cfg(geometry=build_mra(9), thetas=(-1.0, 0.0, 0.5), a=24,
+                       snapshots=1000, axis_values=(30.0,), seed=0)
+        wrapped = 0
+        for ti in range(4):
+            result, _ = estimate_trial(cfg, 30.0, trial_seed(0, 0, ti))
+            wrapped += result.thetas[-1] > 0.9
+            sq, _, _ = run_trial(cfg, 30.0, 0, ti)
+            assert np.all(sq < 1e-6), (ti, result.thetas, sq)
+        assert wrapped >= 1
 
     def test_seed_stream_distinct(self):
         s1 = trial_seed(7, 0, 0).generate_state(4)
