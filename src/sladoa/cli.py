@@ -7,8 +7,8 @@ Exit codes: 0 success, 1 I/O or runtime failure, 2 validation failure
 Config files are flat ``key = value`` text; ``#`` starts a comment.
 List values are whitespace- or comma-separated.  Both commands read
 these keys through one reader, which yields one ``ExperimentConfig`` per
-(geometry, a); an unknown key exits 2, and ``estimate`` takes one
-geometry, one a and one axis value:
+(geometry, a); an unknown or repeated key exits 2, and ``estimate``
+takes one geometry, one a and one axis value:
 
   geometry   = nested 4 4 | super-nested 4 4 | mra 8 | ula 8
                (sweeps may list several, separated by ';')
@@ -70,8 +70,9 @@ def parse_geometry(tokens):
 
 
 def parse_config(text: str) -> dict:
-    """Parse flat key = value lines into a dict of token lists."""
-    out = {}
+    """Parse flat key = value lines into a dict of token lists; a key
+    given on two lines raises ValueError naming both."""
+    out, first_line = {}, {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -79,7 +80,12 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.replace(",", " ").split()
+        key = key.strip()
+        if key in first_line:
+            raise ValueError(f"{key}: given twice (lines {first_line[key]} "
+                             f"and {ln})")
+        first_line[key] = ln
+        out[key] = value.replace(",", " ").split()
     return out
 
 

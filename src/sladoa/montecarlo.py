@@ -10,8 +10,8 @@ deterministic under parallelism.
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from itertools import chain, repeat
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -172,32 +172,26 @@ def run_trial(cfg: ExperimentConfig, axis_value, axis_index: int,
     return sq[sq.sum(axis=1).argmin()], result.fill_count, evd_time
 
 
-def _run_chunk(cfg: ExperimentConfig, axis_value, axis_index: int,
-               start: int, stop: int):
-    return [run_trial(cfg, axis_value, axis_index, trial)
-            for trial in range(start, stop)]
-
-
 def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """RMSE over the axis: sqrt(mean of squared errors over trials and
-    sources), no outlier rejection.  ``workers > 1`` splits the trials
-    over min(workers, trials) processes; ``workers < 1`` raises
-    ValueError."""
+    sources), no outlier rejection.  Each axis point maps ``run_trial``
+    over its trials; ``workers > 1`` maps them in min(workers, trials)
+    processes, in ceil(trials / workers)-trial chunks, so at most
+    ``workers`` tasks per point.  ``workers`` must be an integer >= 1
+    (2.0 counts, 2.5 not), or ValueError is raised."""
     cfg.validate()
-    if workers < 1:
-        raise ValueError("workers: must be >= 1")
+    if not _is_count(workers):
+        raise ValueError("workers: must be an integer >= 1")
     k, d = cfg.trials, len(cfg.thetas)
-    workers = min(workers, k)               # an idle worker is a wasted fork
-    bounds = np.linspace(0, k, workers + 1, dtype=int).tolist()
+    workers = min(int(workers), k)          # an idle worker is a wasted fork
     rmse, fills, mean_t = [], [], []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        run = map if pool is None else pool.map
         for ai, av in enumerate(cfg.axis_values):
-            chunks = run(_run_chunk, repeat(cfg), repeat(av), repeat(ai),
-                         bounds[:-1], bounds[1:])
-            sq, fl, tm = (np.array(column)
-                          for column in zip(*chain.from_iterable(chunks)))
+            trial = partial(run_trial, cfg, av, ai)
+            rows = (map(trial, range(k)) if pool is None else
+                    pool.map(trial, range(k), chunksize=-(-k // workers)))
+            sq, fl, tm = (np.array(column) for column in zip(*rows))
             rmse.append(float(np.sqrt(np.sum(sq) / (k * d))))
             fills.append(int(np.sum(fl)))
             mean_t.append(float(np.mean(tm)))
@@ -208,21 +202,13 @@ def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "geometry": cfg.geometry.name,
-        "positions": list(cfg.geometry.positions),
-        "thetas": list(cfg.thetas),
-        "powers": list(cfg.powers),
-        "method": cfg.method,
-        "a": cfg.a,
-        "snapshots": cfg.snapshots,
-        "snr_db": cfg.snr_db,
-        "axis": cfg.axis,
-        "axis_values": list(cfg.axis_values),
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "grid_size": cfg.grid_size,
-    }
+    """The config for JSON: the geometry by name and positions, then
+    every other ``ExperimentConfig`` field as stored."""
+    echo = {"geometry": cfg.geometry.name,
+            "positions": list(cfg.geometry.positions)}
+    echo.update((f.name, getattr(cfg, f.name)) for f in fields(cfg)
+                if f.name != "geometry")
+    return echo
 
 
 def write_sweep_csv(results, path) -> None:
@@ -245,22 +231,14 @@ def write_sweep_csv(results, path) -> None:
 
 
 def write_sweep_json(results, path) -> None:
-    """JSON sidecar: one object per SweepResult, with its config echoed
-    whole and its seed, axis, axis values and trials repeated at the top
-    level."""
-    payload = []
-    for result in results:
-        echo = config_echo(result.config)
-        payload.append({
-            "config": echo,
-            "seed": echo["seed"],
-            "axis": echo["axis"],
-            "axis_values": echo["axis_values"],
-            "rmse": list(result.rmse),
-            "fills": list(result.fills),
-            "trials": echo["trials"],
-            "mean_evd_time": list(result.mean_evd_time),
-        })
+    """JSON sidecar: one object per SweepResult, holding its ``config``
+    echoed whole (each field once) and its ``rmse``, ``fills`` and
+    wall-clock ``mean_evd_time`` per axis point."""
+    payload = [{"config": config_echo(result.config),
+                "rmse": list(result.rmse),
+                "fills": list(result.fills),
+                "mean_evd_time": list(result.mean_evd_time)}
+               for result in results]
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

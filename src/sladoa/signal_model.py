@@ -39,10 +39,10 @@ class SourceScene:
             raise ValueError("thetas and powers must have equal length")
         if any(b <= a for a, b in zip(th, th[1:])):
             raise ValueError("thetas must be strictly increasing")
-        if th[0] < -1.0 or th[-1] >= 1.0:
+        if not all(-1.0 <= t < 1.0 for t in th):    # NaN fails too
             raise ValueError("thetas must lie in [-1, 1)")
-        if any(p <= 0 for p in pw):
-            raise ValueError("powers must be positive")
+        if not all(0.0 < p < np.inf for p in pw):
+            raise ValueError("powers must be positive and finite")
         object.__setattr__(self, "thetas", th)
         object.__setattr__(self, "powers", pw)
 

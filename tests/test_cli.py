@@ -54,13 +54,17 @@ INVALID_SETTINGS = [
     (("snapshots = 400", "snapshots = 0"), "snapshots:"),
     (("seed = 7", "seed = 7\nsnr = 5"), "snr: unknown key"),
     (("seed = 7", "seed = -1"), "seed:"),
+    (("a = 3", "a = 0\na = 3"), "a: given twice (lines 5 and 6)"),
+    (("thetas = -0.8 0 0.8", "thetas = -0.8 nan 0.8"), "thetas/powers:"),
+    (("seed = 7", "seed = 7\npowers = 1 inf 1"), "thetas/powers:"),
 ]
 
 
 @pytest.mark.parametrize("command", ["estimate", "sweep"])
 @pytest.mark.parametrize("edit,field", INVALID_SETTINGS,
                          ids=["a", "method", "snr_db", "grid", "snapshots",
-                              "unknown_key", "seed"])
+                              "unknown_key", "seed", "repeated_key",
+                              "nan_theta", "inf_power"])
 def test_invalid_setting_exits_2(tmp_path, capsys, command, edit, field):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(ESTIMATE_CFG.replace(*edit))
@@ -78,6 +82,11 @@ class TestParsing:
     def test_parse_config_rejects_bare_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_config("not a pair\n")
+
+    def test_parse_config_rejects_repeated_key(self):
+        with pytest.raises(ValueError,
+                           match=r"^a: given twice \(lines 1 and 3\)$"):
+            parse_config("a = 0\nb = 1\n a = 3 # again\n")
 
     def test_parse_geometry_kinds(self):
         assert parse_geometry(["ula", "5"]).name == "ula(5)"

@@ -157,35 +157,50 @@ class TestRmseSweep:
             "config", "rmse", "fills", "mean_evd_time"]
 
     def test_deterministic_across_workers(self):
-        cfg = make_cfg(trials=12)
-        r1 = rmse_sweep(cfg, workers=1)
-        r2 = rmse_sweep(cfg, workers=3)
-        assert r1.rmse == r2.rmse
-        assert r1.fills == r2.fills
+        # 7 trials split unevenly: chunks of 4+3 and 3+3+1
+        cfg = make_cfg(trials=7)
+        r1, r2, r3 = (rmse_sweep(cfg, workers=w) for w in (1, 2, 3))
+        assert r1.rmse == r2.rmse == r3.rmse
+        assert r1.fills == r2.fills == r3.fills
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_workers_below_one(self, workers):
         with pytest.raises(ValueError, match="workers:"):
             rmse_sweep(make_cfg(trials=2), workers=workers)
 
+    @pytest.mark.parametrize("workers", [2.5, math.nan, math.inf])
+    def test_rejects_non_integer_workers(self, workers):
+        with pytest.raises(ValueError,
+                           match="workers: must be an integer >= 1"):
+            rmse_sweep(make_cfg(trials=2), workers=workers)
+
     def test_pool_capped_at_trials(self, monkeypatch):
-        sizes = []
+        sizes, chunksizes = [], []
 
         class InProcessPool:
-            """Records its size and maps in this process."""
+            """Records its size and chunk sizes and maps in this process."""
             def __init__(self, max_workers):
                 sizes.append(max_workers)
-            map = staticmethod(map)
+
+            def map(self, fn, *iterables, chunksize=1):
+                chunksizes.append(chunksize)
+                return map(fn, *iterables)
 
             def shutdown(self):
                 pass
 
         monkeypatch.setattr("sladoa.montecarlo.ProcessPoolExecutor",
                             InProcessPool)
-        cfg = make_cfg(trials=4)
-        capped = rmse_sweep(cfg, workers=64)
-        assert sizes == [4]
-        assert capped.rmse == rmse_sweep(cfg, workers=1).rmse
+        for trials, workers, size in ((4, 64, 4), (7, 3, 3), (7, 2.0, 2)):
+            sizes.clear()
+            chunksizes.clear()
+            cfg = make_cfg(trials=trials)
+            capped = rmse_sweep(cfg, workers=workers)
+            assert sizes == [size]
+            # one map per axis point, each of at most `size` tasks
+            assert len(chunksizes) == len(cfg.axis_values)
+            assert all(-(-trials // c) <= size for c in chunksizes)
+            assert capped.rmse == rmse_sweep(cfg, workers=1).rmse
 
     def test_snr_monotonicity_smoke(self):
         cfg = make_cfg(axis_values=(-10.0, 20.0), trials=60)
@@ -218,18 +233,24 @@ class TestOutputs:
             [("nested(4,4)", "0")] * 2 + [("nested(4,4)", "3")] * 2)
 
     def test_json_sidecar(self, tmp_path):
-        result = rmse_sweep(make_cfg(trials=4))
+        cfg = make_cfg(trials=4)
+        result = rmse_sweep(cfg)
         path = tmp_path / "out.json"
         write_sweep_json([result], path)
-        payload = json.loads(path.read_text())[0]
-        assert list(payload) == ["config", "seed", "axis", "axis_values",
-                                 "rmse", "fills", "trials", "mean_evd_time"]
-        assert list(payload["config"]) == [
-            "geometry", "positions", "thetas", "powers", "method", "a",
-            "snapshots", "snr_db", "axis", "axis_values", "trials", "seed",
-            "grid_size"]
-        for key in ("seed", "axis", "axis_values", "trials"):
-            assert payload[key] == payload["config"][key], key
-        assert payload["seed"] == 99
+        text = path.read_text()
+        [pairs] = json.loads(text, object_pairs_hook=lambda kv: kv)
+        keys = [k for k, _ in pairs]
+        assert keys == ["config", "rmse", "fills", "mean_evd_time"]
+        config_keys = [k for k, _ in dict(pairs)["config"]]
+        names = [f.name for f in fields(ExperimentConfig)]
+        assert sorted(config_keys) == sorted(names + ["positions"])
+        assert not set(keys) & set(config_keys)     # nothing said twice
+        payload = json.loads(text)[0]
+        for name in set(names) - {"geometry"}:
+            value = getattr(cfg, name)
+            assert payload["config"][name] == (
+                list(value) if isinstance(value, tuple) else value), name
         assert payload["config"]["geometry"] == "nested(4,4)"
-        assert payload["config"]["axis_values"] == [0.0, 10.0]
+        assert payload["config"]["positions"] == list(cfg.geometry.positions)
+        assert payload["rmse"] == list(result.rmse)
+        assert payload["fills"] == list(result.fills)

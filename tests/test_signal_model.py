@@ -25,6 +25,13 @@ class TestSourceScene:
         with pytest.raises(ValueError):
             SourceScene((0.0,), (0.0,))
 
+    @pytest.mark.parametrize("thetas, powers", [
+        ((math.nan,), (1.0,)), ((-0.8, math.nan, 0.8), (1.0, 1.0, 1.0)),
+        ((0.0,), (math.inf,)), ((0.0,), (math.nan,))])
+    def test_rejects_non_finite(self, thetas, powers):
+        with pytest.raises(ValueError, match="thetas must lie|powers must"):
+            SourceScene(thetas, powers)
+
 
 class TestSteeringMatrix:
     def test_zero_position(self):
