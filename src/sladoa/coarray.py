@@ -4,6 +4,7 @@
 contiguous lags -(G-1)..(G-1): each entry is the covariance averaged
 over the sensor pairs at that lag.  ``lag_sums`` is the one kernel
 that sums matrix entries by lag; root-MUSIC's polynomial reads it too.
+Both read the pair-lag table that ``difference_coarray`` is built from.
 Smoothing slides a length-M window over the coarray vector: window p
 (1-based, p = 1..P with P = G + a and M = G - a) covers lags
 a-p+1 .. a-p+M, so the reference window p = a+1 spans lags 0..M-1.
@@ -12,12 +13,11 @@ Windows that exclude lag 0 carry no noise spike; shrinking the window
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import ArrayGeometry, difference_coarray
+from .geometry import ArrayGeometry, _pair_lags, difference_coarray
 
 __all__ = [
     "SmoothedMatrix",
@@ -55,34 +55,14 @@ def max_shrinkage(udof: int, d: int) -> int:
     return a
 
 
-@lru_cache(maxsize=64)
-def _lag_bins(positions: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """Bin of each flattened entry (i, j), its lag plus the aperture L,
-    and the bin count 2L + 1."""
-    pos = np.asarray(positions)
-    aperture = int(pos.max() - pos.min())
-    return (pos[None, :] - pos[:, None]).ravel() + aperture, 2 * aperture + 1
-
-
 def lag_sums(mat: np.ndarray, positions) -> np.ndarray:
     """Sums of the entries (i, j) of a square matrix by lag
     positions[j] - positions[i], ascending over the lags
     -aperture..aperture; each sum runs in row-major order."""
-    bins, size = _lag_bins(tuple(positions))
+    bins, counts, _ = _pair_lags(tuple(positions))
     flat = np.asarray(mat).ravel()
-    return (np.bincount(bins, flat.real, size)
-            + 1j * np.bincount(bins, flat.imag, size))
-
-
-@lru_cache(maxsize=64)
-def _segment(geom: ArrayGeometry) -> tuple[slice, np.ndarray]:
-    """Where the contiguous lags sit in ``lag_sums``' output, and how
-    many sensor pairs each of them has."""
-    ca = difference_coarray(geom)
-    lags = range(1 - ca.g, ca.g)
-    start = geom.aperture + lags[0]
-    counts = np.array([ca.weights[l] for l in lags], dtype=float)
-    return slice(start, start + ca.udof), counts
+    return (np.bincount(bins, flat.real, counts.size)
+            + 1j * np.bincount(bins, flat.imag, counts.size))
 
 
 def coarray_signal(r: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
@@ -91,8 +71,10 @@ def coarray_signal(r: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
     r = np.asarray(r, dtype=complex)
     if r.shape != (geom.n, geom.n):
         raise ValueError("covariance dimension does not match geometry")
-    segment, counts = _segment(geom)
-    return lag_sums(r, geom.positions)[segment] / counts
+    g = difference_coarray(geom).g
+    segment = slice(geom.aperture + 1 - g, geom.aperture + g)
+    counts = _pair_lags(geom.positions)[1]      # ``Coarray.counts`` as array
+    return lag_sums(r, geom.positions)[segment] / counts[segment]
 
 
 def vws_smooth(x: np.ndarray, a: int) -> SmoothedMatrix:

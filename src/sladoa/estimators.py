@@ -5,10 +5,12 @@ and the coarray steering convention a(theta)[m] = exp(+j*pi*m*theta)
 over the reference-window lags 0..M-1.  Both read one coefficient
 vector, the diagonal sums of U_N U_N^H (Barabell 1983).  MUSIC
 evaluates that polynomial on the default grid by FFT.  root-MUSIC
-roots it in real arithmetic: a rotated Cayley map turns the
-conjugate-reciprocal polynomial of degree 2M-2 into a real one of the
-same degree, whose real companion EVD is several times cheaper than the
-complex one (unitary root-MUSIC, Pesavento, Gershman & Haardt 2000).
+roots it in real arithmetic up to window size M = 37: a rotated Cayley
+map turns the conjugate-reciprocal polynomial of degree 2M-2 into a
+real one of the same degree, whose real companion EVD is several times
+cheaper than the complex one (unitary root-MUSIC, Pesavento, Gershman
+& Haardt 2000).  Larger windows root the polynomial itself through its
+complex companion matrix.
 """
 
 import math
@@ -37,6 +39,14 @@ __all__ = [
 
 _METHODS = ("vws-ca-music", "vws-ca-rmusic")
 _DENOM_FLOOR = 1e-18
+# Largest window M rooted through the real Cayley polynomial.  Up to it
+# population scenes root within 1e-8 of their directions.  Past it the
+# x-basis, whose entries grow as C(2L, L), lets sampled roots drift by
+# 1e-5 at M = 38 and population ones past 1e-8 from M = 43 on.  About
+# one sampled scene in 2000 at M = 36..37 drifts too (3e-8 to 2e-4),
+# where a conjugate pair of x-roots with |Im x| below ~1e-4 merges onto
+# the real line.
+_CAYLEY_MAX_M = 37
 
 
 @dataclass(frozen=True)
@@ -154,10 +164,10 @@ def _cayley_basis(lag: int) -> np.ndarray:
     z = (1+jx)/(1-jx), sum_k t_k z^k = (t @ B)(x) / (1+x^2)^L.
 
     The coefficient of x^n is j^n times an integer; the integers are
-    built exactly (they reach C(72, 36) ~ 4e20 at L = 36) and rounded
-    once.  Moving one factor from (1-jx) to (1+jx) is, on the integers,
-    adding the shifted row and then a cumulative sum (the exact division
-    by 1 - jx).
+    built exactly (they reach C(72, 36) ~ 4e20 at L = 36, the largest
+    lag ``root_music`` roots this way) and rounded once.  Moving one
+    factor from (1-jx) to (1+jx) is, on the integers, adding the shifted
+    row and then a cumulative sum (the exact division by 1 - jx).
     """
     n = 2 * lag + 1
     row = np.array([(-1) ** i * math.comb(n - 1, i) for i in range(n)],
@@ -190,20 +200,25 @@ def _schroeder_step(t: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def root_music(noise: np.ndarray, d: int) -> EstimationResult:
     """Search-free estimate from the roots of the noise-subspace
-    Laurent polynomial, found in real arithmetic (unitary root-MUSIC,
-    Pesavento, Gershman & Haardt 2000).
+    Laurent polynomial, found in real arithmetic for M <= 37 (unitary
+    root-MUSIC, Pesavento, Gershman & Haardt 2000).
 
     With C = U_N U_N^H, the coefficient of z^(k+M-1) is the sum of the
     k-th superdiagonal of C; corner sums at or below 1e-12 of the
-    largest are dropped in pairs, one from each end.  The rotated
-    Cayley map z = e^(j*phi) (1+jx)/(1-jx) turns the conjugate-reciprocal
-    polynomial into a real one in x, q >= 0 on the real line; its pole
-    z = -e^(j*phi) sits where the polynomial is largest on a short FFT
-    grid, the point farthest from every root.  Im x > 0 maps inside the
-    unit circle and real x onto it, where roots come in adjacent pairs
-    of which every second one counts as outside.  One stable sort ranks
-    the roots inside first, each side by closeness | 1 - |z| |; the first
-    d are polished by one Schroeder step on the z-polynomial and give
+    largest are dropped in pairs, one from each end.  Up to M = 37 the
+    rotated Cayley map z = e^(j*phi) (1+jx)/(1-jx) turns the
+    conjugate-reciprocal polynomial into a real one in x, q >= 0 on the
+    real line; its pole z = -e^(j*phi) sits where the polynomial is
+    largest on a short FFT grid, the point farthest from every root.
+    Im x > 0 maps inside the unit circle and real x onto it, where roots
+    come in adjacent pairs of which every second one counts as outside.
+    Larger windows root the z-polynomial through its complex companion
+    matrix, with |z| >= 1 outside: the x-basis entries grow as C(2L, L),
+    and rooting q in that basis drifts by 1e-5 on sampled scenes from
+    M = 38 on.  Both paths stay within 1e-8 of the population directions
+    on every swept array up to M = 169.  One stable sort ranks the roots
+    inside first, each side by closeness | 1 - |z| |; the first d are
+    polished by one Schroeder step on the z-polynomial and give
     theta = angle(z)/pi and ``root_moduli``, and those taken from
     outside are counted in ``fill_count``.
     """
@@ -219,16 +234,20 @@ def root_music(noise: np.ndarray, d: int) -> EstimationResult:
     tol = 1e-12 * np.abs(t).max()
     while t.size > 3 and abs(t[-1]) <= tol:
         t = t[1:-1]
-    lag = t.size // 2
-    size = 4 * t.size
-    phi = 2 * np.pi * np.argmax(_circle_values(t, size)) / size
-    rotated = t * np.exp(1j * phi * np.arange(-lag, lag + 1))
-    x = polynomial_roots((rotated @ _cayley_basis(lag)).real)
-    outside = x.imag < 0
-    on_circle = np.flatnonzero(x.imag == 0)
-    outside[on_circle[np.argsort(x.real[on_circle])][1::2]] = True
-    with np.errstate(divide="ignore", invalid="ignore"):   # x = -j: z = inf
-        z = np.exp(1j * phi) * (1 + 1j * x) / (1 - 1j * x)
+    if m <= _CAYLEY_MAX_M:
+        lag = t.size // 2
+        size = 4 * t.size
+        phi = 2 * np.pi * np.argmax(_circle_values(t, size)) / size
+        rotated = t * np.exp(1j * phi * np.arange(-lag, lag + 1))
+        x = polynomial_roots((rotated @ _cayley_basis(lag)).real)
+        outside = x.imag < 0
+        on_circle = np.flatnonzero(x.imag == 0)
+        outside[on_circle[np.argsort(x.real[on_circle])][1::2]] = True
+        with np.errstate(divide="ignore", invalid="ignore"):  # x = -j: z = inf
+            z = np.exp(1j * phi) * (1 + 1j * x) / (1 - 1j * x)
+    else:
+        z = polynomial_roots(t.astype(complex))
+        outside = np.abs(z) >= 1.0
     picked = np.lexsort((np.abs(1.0 - np.abs(z)), outside))[:d]
     z = _schroeder_step(t, z[picked])
     thetas = np.angle(z) / np.pi

@@ -1,13 +1,14 @@
 """Sparse linear array geometries and their difference coarrays.
 
 Positions are non-negative integers in units of half the carrier
-wavelength, normalized so the first sensor sits at 0.
+wavelength, normalized so the first sensor sits at 0.  ``_pair_lags``
+holds the lag of every sensor pair, once per position tuple.
 """
 
-from collections import Counter
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
+from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "ArrayGeometry",
@@ -48,28 +49,29 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class Coarray:
-    """Difference set of an array: the pair count of each lag.
+    """Difference set of an array: ``counts`` holds the pair count of
+    each lag -L..L, L the aperture; a tuple, so coarrays compare by value.
 
     ``g`` is the one-sided extent of the maximal contiguous run of lags
     centered at 0, plus the zero lag; ``udof`` = 2g-1 counts that run.
     Lags outside the contiguous run are kept for diagnostics only.
     """
 
-    weights: Mapping[int, int]
+    counts: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+    @property
+    def weights(self) -> dict[int, int]:
+        lag = len(self.counts) // 2
+        return {k - lag: c for k, c in enumerate(self.counts) if c}
 
     @property
     def lags(self) -> tuple[int, ...]:
-        return tuple(sorted(self.weights))
+        return tuple(self.weights)
 
     @property
     def g(self) -> int:
-        half = 0
-        while half + 1 in self.weights:
-            half += 1
-        return half + 1
+        # the first lag >= 0 that no pair produces, or L + 1
+        return (self.counts[len(self.counts) // 2:] + (0,)).index(0)
 
     @property
     def udof(self) -> int:
@@ -79,14 +81,27 @@ class Coarray:
     def holes(self) -> tuple[int, ...]:
         """Positive lags between the contiguous segment and the aperture
         that no sensor pair produces."""
-        return tuple(l for l in range(self.g, max(self.weights))
-                     if l not in self.weights)
+        lag = len(self.counts) // 2
+        return tuple(l for l in range(self.g, lag) if not self.counts[lag + l])
+
+
+@lru_cache(maxsize=64)
+def _pair_lags(positions: tuple[int, ...]
+               ) -> tuple[np.ndarray, np.ndarray, Coarray]:
+    """The pair-lag table of a position tuple: the bin of each flattened
+    pair (i, j), its lag positions[j] - positions[i] plus the aperture L;
+    the bincount of those bins, the pair count of each lag -L..L; and
+    the ``Coarray`` of those counts."""
+    pos = np.asarray(positions)
+    bins = (pos[None, :] - pos[:, None]).ravel() + (pos.max() - pos.min())
+    counts = np.bincount(bins)
+    bins.flags.writeable = counts.flags.writeable = False   # shared
+    return bins, counts, Coarray(tuple(counts.tolist()))
 
 
 def difference_coarray(geom: ArrayGeometry) -> Coarray:
-    """Compute the difference coarray of a geometry."""
-    return Coarray(Counter(a - b for a in geom.positions
-                           for b in geom.positions))
+    """The difference coarray of a geometry, from its pair-lag table."""
+    return _pair_lags(geom.positions)[2]
 
 
 def build_ula(n: int) -> ArrayGeometry:

@@ -12,6 +12,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -54,11 +55,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
-        for field in _INTEGER_FIELDS:       # 3.0 runs, and is written, as 3
+        # 3.0 or np.int64(3) runs, and is written to JSON, as 3; other
+        # values are left for ``validate`` to reject
+        for field in _INTEGER_FIELDS:
             v = getattr(self, field)
-            if isinstance(v, float) and v.is_integer():
+            if isinstance(v, Real) and float(v).is_integer():
                 object.__setattr__(self, field, int(v))
-        object.__setattr__(self, "axis_values", tuple(self.axis_values))
+        object.__setattr__(self, "axis_values",
+                           tuple(float(v) for v in self.axis_values))
         if not self.powers:
             object.__setattr__(self, "powers", (1.0,) * len(self.thetas))
 

@@ -13,6 +13,8 @@ from sladoa.numerics import polynomial_roots
 from sladoa.signal_model import SourceScene, steering_matrix
 
 # Every builder, at sizes up to mra(10) (UDOF 73, largest window M = 37).
+# All of their windows are rooted through the real Cayley polynomial
+# (M <= 37); tests that reach past that size name their own geometries.
 BUILDER_GEOMETRIES = ([build_ula(n) for n in range(2, 11)]
                       + [build_mra(n) for n in range(3, 11)]
                       + [build_nested(2, 2), build_nested(3, 5),

@@ -312,6 +312,27 @@ class TestEndToEnd:
                     assert err <= 1e-8, (f"{thetas}, noise {noise_var}, "
                                          f"a={a}: {err:.1e}")
 
+    @pytest.mark.parametrize("geom", [build_ula(64), build_nested(8, 8),
+                                      build_nested(12, 12)],
+                             ids=lambda g: g.name)
+    def test_root_music_population_large_windows(self, geom):
+        # M = 64, 72 and 156 at a = 0 lie above the largest window whose
+        # real Cayley polynomial roots reliably; rooted in the x-basis
+        # these scenes were off by up to 1.5
+        udof = difference_coarray(geom).udof
+        for thetas in (THETAS3, THETAS5, ENDFIRE5):
+            d = len(thetas)
+            a_max = max_shrinkage(udof, d)
+            for noise_var in (1.0, 0.1):
+                r = exact_covariance(SourceScene.unit_powers(thetas), geom,
+                                     noise_var)
+                for a in (0, a_max // 2):
+                    res, _ = estimate_doas(r, geom, d, a,
+                                           method="vws-ca-rmusic")
+                    err = wrapped_error(res.thetas, thetas)
+                    assert err <= 1e-8, (f"{thetas}, noise {noise_var}, "
+                                         f"a={a}: {err:.1e}")
+
     def test_scale_invariance(self):
         geom = build_nested(4, 4)
         r = exact_covariance(SourceScene.unit_powers(THETAS3), geom, 1.0)
@@ -348,14 +369,17 @@ class TestEndToEnd:
         assert calls == []                  # rejected before any stage runs
 
 
-@pytest.mark.parametrize("geom", BUILDER_GEOMETRIES, ids=lambda g: g.name)
+@pytest.mark.parametrize("geom", BUILDER_GEOMETRIES + [
+    build_nested(18, 2), build_nested(6, 6)], ids=lambda g: g.name)
 def test_root_music_matches_companion_rooting(geom):
-    """The real, Cayley-mapped rooting against the complex companion
-    matrix of the noise polynomial, on sampled scenes: D = 3 and 5 where
-    identifiable, a at 0, a_max // 2 and a_max, T = 20, 100 and 1000, at
-    0 and 10 dB, three seeds each.  Where M = D + 1 every root is a
-    double root and the two paths differ at the sqrt(eps) floor, up to
-    ~3e-8; elsewhere they agree to 1e-10."""
+    """``root_music`` against the complex companion matrix of the noise
+    polynomial, on sampled scenes: D = 3 and 5 where identifiable, a at
+    0, a_max // 2 and a_max, T = 20, 100 and 1000, at 0 and 10 dB, three
+    seeds each.  Besides the builder geometries, whose windows reach
+    M = 37, the largest rooted through the real Cayley polynomial,
+    nested(18,2) and nested(6,6) reach M = 38 and 42.  Where M = D + 1
+    every root is a double root and the two paths differ at the
+    sqrt(eps) floor, up to ~3e-8; elsewhere they agree to 1e-10."""
     udof = difference_coarray(geom).udof
     scenes = [th for th in (THETAS3, THETAS5) if udof >= 2 * len(th) + 1]
     if not scenes:

@@ -2,9 +2,11 @@
 enumeration, which serves as the oracle throughout."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
+from reference import BUILDER_GEOMETRIES
 from sladoa.geometry import (ArrayGeometry, build_mra, build_nested,
                              build_super_nested, build_ula,
                              difference_coarray, _MRA_TABLE)
@@ -172,3 +174,22 @@ class TestCoarrayInvariants:
         assert ca.udof % 2 == 1
         assert ca.g == (ca.udof + 1) // 2
         assert ca.lags == tuple(sorted(brute_lags(geom.positions)))
+
+    def test_equality_is_by_value(self):
+        # coarrays are equal exactly when every lag has the same pair
+        # count: a copy of a geometry and its mirror image both match
+        def pair_counts(positions):
+            return Counter(a - b for a in positions for b in positions)
+
+        cas = [difference_coarray(g) for g in BUILDER_GEOMETRIES]
+        for geom, ca in zip(BUILDER_GEOMETRIES, cas):
+            assert ca.weights == pair_counts(geom.positions)
+            mirror = tuple(geom.aperture - p for p in reversed(geom.positions))
+            for twin in (ArrayGeometry("copy", geom.positions),
+                         ArrayGeometry("mirror", mirror)):
+                assert difference_coarray(twin) == ca
+                assert hash(difference_coarray(twin)) == hash(ca)
+        for (g1, c1), (g2, c2) in itertools.combinations(
+                zip(BUILDER_GEOMETRIES, cas), 2):
+            same = pair_counts(g1.positions) == pair_counts(g2.positions)
+            assert (c1 == c2) == same, (g1.name, g2.name)
