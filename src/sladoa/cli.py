@@ -128,8 +128,8 @@ def cmd_geometry(args) -> int:
     holes = ca.holes
     print(f"holes beyond contiguous segment: {list(holes) if holes else 'none'}")
     print("lag weights (lag: count):")
-    nonneg = [l for l in ca.lags if l >= 0]
-    print("  " + "  ".join(f"{l}:{ca.weights[l]}" for l in nonneg))
+    print("  " + "  ".join(f"{l}:{c}" for l, c in ca.weights.items()
+                           if l >= 0))
     if args.sources is not None:
         try:
             amax = max_shrinkage(ca.udof, args.sources)
@@ -211,9 +211,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    results = []
-    warnings = []
-    for run in _read_runs(args, snr_default=10.0):
+    runs, warnings = [], []
+    for run in _read_runs(args, snr_default=10.0):    # all, before any trial
         try:
             run.validate()
         except ValueError as exc:
@@ -221,11 +220,12 @@ def cmd_sweep(args) -> int:
                 raise
             warnings.append(f"{run.geometry.name} a={run.a}: {exc}")
             continue
-        results.append(rmse_sweep(run, workers=args.workers))
+        runs.append(run)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if not results:
+    if not runs:
         raise ValueError("a/geometry: no feasible (geometry, a) combination")
+    results = [rmse_sweep(run, workers=args.workers) for run in runs]
 
     write_sweep_csv(results, args.out)
     sidecar_path = str(args.out) + ".config.json"

@@ -39,14 +39,12 @@ __all__ = [
 
 _METHODS = ("vws-ca-music", "vws-ca-rmusic")
 _DENOM_FLOOR = 1e-18
-# Largest window M rooted through the real Cayley polynomial.  Up to it
-# population scenes root within 1e-8 of their directions.  Past it the
-# x-basis, whose entries grow as C(2L, L), lets sampled roots drift by
-# 1e-5 at M = 38 and population ones past 1e-8 from M = 43 on.  About
-# one sampled scene in 2000 at M = 36..37 drifts too (3e-8 to 2e-4),
-# where a conjugate pair of x-roots with |Im x| below ~1e-4 merges onto
-# the real line.
+# Largest window M rooted through the real Cayley polynomial, within
+# 1e-8 of the complex companion.  Past it the x-basis, whose entries grow
+# as C(2L, L), lets sampled roots drift by 1e-5 at M = 38 and population
+# ones past 1e-8 from M = 43 on.
 _CAYLEY_MAX_M = 37
+_ON_CIRCLE_TOL = 1e-7       # | 1 - |z| | up to it: a double root, unpolished
 
 
 @dataclass(frozen=True)
@@ -182,20 +180,16 @@ def _cayley_basis(lag: int) -> np.ndarray:
     return basis
 
 
-def _schroeder_step(t: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """One step z - P P'/(P'^2 - P P'') on P(z) = sum_i t_i z^i, kept only
-    where it lowers |P|.  Unlike Newton's, the step converges
-    quadratically to double roots too, which every source on the unit
-    circle is."""
+def _newton_step(t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One step z - P/P' on P(z) = sum_i t_i z^i, taken where it is finite
+    and z is a simple root, more than 1e-7 off the unit circle; the
+    double roots on it, where Newton only halves the error, stay."""
     i = np.arange(t.size)
     with np.errstate(all="ignore"):
         powers = z[:, None] ** i
-        p = powers @ t
-        p1 = powers[:, :-1] @ (i[1:] * t[1:])
-        p2 = powers[:, :-2] @ (i[2:] * i[1:-1] * t[2:])
-        step = z - p * p1 / (p1 * p1 - p * p2)
-        lower = np.abs((step[:, None] ** i) @ t) < np.abs(p)
-    return np.where(lower, step, z)
+        step = z - (powers @ t) / (powers[:, :-1] @ (i[1:] * t[1:]))
+    simple = np.abs(1.0 - np.abs(z)) > _ON_CIRCLE_TOL
+    return np.where(simple & np.isfinite(step), step, z)
 
 
 def root_music(noise: np.ndarray, d: int) -> EstimationResult:
@@ -210,17 +204,18 @@ def root_music(noise: np.ndarray, d: int) -> EstimationResult:
     conjugate-reciprocal polynomial into a real one in x, q >= 0 on the
     real line; its pole z = -e^(j*phi) sits where the polynomial is
     largest on a short FFT grid, the point farthest from every root.
-    Im x > 0 maps inside the unit circle and real x onto it, where roots
-    come in adjacent pairs of which every second one counts as outside.
+    Im x > 0 maps inside the unit circle and real x onto it.  There the
+    double roots come back split into adjacent pairs of real x-roots:
+    every second one counts as outside, and both take the pair's mean.
     Larger windows root the z-polynomial through its complex companion
     matrix, with |z| >= 1 outside: the x-basis entries grow as C(2L, L),
     and rooting q in that basis drifts by 1e-5 on sampled scenes from
     M = 38 on.  Both paths stay within 1e-8 of the population directions
     on every swept array up to M = 169.  One stable sort ranks the roots
-    inside first, each side by closeness | 1 - |z| |; the first d are
-    polished by one Schroeder step on the z-polynomial and give
-    theta = angle(z)/pi and ``root_moduli``, and those taken from
-    outside are counted in ``fill_count``.
+    inside first, each side by closeness | 1 - |z| |; the first d, the
+    simple ones polished by one Newton step, give theta = angle(z)/pi
+    and ``root_moduli``, and those taken from outside are counted in
+    ``fill_count``.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -241,15 +236,18 @@ def root_music(noise: np.ndarray, d: int) -> EstimationResult:
         rotated = t * np.exp(1j * phi * np.arange(-lag, lag + 1))
         x = polynomial_roots((rotated @ _cayley_basis(lag)).real)
         outside = x.imag < 0
-        on_circle = np.flatnonzero(x.imag == 0)
-        outside[on_circle[np.argsort(x.real[on_circle])][1::2]] = True
+        ring = np.flatnonzero(x.imag == 0)
+        ring = ring[np.argsort(x.real[ring])]
+        lo, hi = ring[:-1:2], ring[1::2]    # each split double root
+        outside[hi] = True
+        x[lo] = x[hi] = (x[lo] + x[hi]) / 2
         with np.errstate(divide="ignore", invalid="ignore"):  # x = -j: z = inf
             z = np.exp(1j * phi) * (1 + 1j * x) / (1 - 1j * x)
     else:
         z = polynomial_roots(t.astype(complex))
         outside = np.abs(z) >= 1.0
     picked = np.lexsort((np.abs(1.0 - np.abs(z)), outside))[:d]
-    z = _schroeder_step(t, z[picked])
+    z = _newton_step(t, z[picked])
     thetas = np.angle(z) / np.pi
     thetas = (thetas + 1.0) % 2.0 - 1.0          # fold angle pi onto -1
     order = np.argsort(thetas)

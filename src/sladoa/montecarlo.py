@@ -54,15 +54,20 @@ class ExperimentConfig:
     powers: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
+        # lists, arrays and numpy scalars are stored as tuples of Python
+        # floats, so the config hashes, equals its tuple twin and is
+        # written to JSON as given
+        for field in ("thetas", "powers", "axis_values"):
+            object.__setattr__(self, field,
+                               tuple(float(v) for v in getattr(self, field)))
+        if isinstance(self.snr_db, Real):
+            object.__setattr__(self, "snr_db", float(self.snr_db))
         # 3.0 or np.int64(3) runs, and is written to JSON, as 3; other
         # values are left for ``validate`` to reject
         for field in _INTEGER_FIELDS:
             v = getattr(self, field)
             if isinstance(v, Real) and float(v).is_integer():
                 object.__setattr__(self, field, int(v))
-        object.__setattr__(self, "axis_values",
-                           tuple(float(v) for v in self.axis_values))
         if not self.powers:
             object.__setattr__(self, "powers", (1.0,) * len(self.thetas))
 
@@ -107,7 +112,10 @@ class ExperimentConfig:
         if not float(self.a).is_integer():
             raise ValueError(f"a: must be an integer, got {self.a}")
         ca = difference_coarray(self.geometry)
-        amax = max_shrinkage(ca.udof, d)
+        try:
+            amax = max_shrinkage(ca.udof, d)
+        except ValueError as exc:
+            raise ValueError(f"thetas: {self.geometry.name}: {exc}") from None
         if not 0 <= self.a <= amax:
             raise ValueError(
                 f"a: shrinkage {self.a} infeasible for UDOF={ca.udof}, "

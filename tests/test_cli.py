@@ -57,6 +57,9 @@ INVALID_SETTINGS = [
     (("a = 3", "a = 0\na = 3"), "a: given twice (lines 5 and 6)"),
     (("thetas = -0.8 0 0.8", "thetas = -0.8 nan 0.8"), "thetas/powers:"),
     (("seed = 7", "seed = 7\npowers = 1 inf 1"), "thetas/powers:"),
+    (("thetas = -0.8 0 0.8",
+      "thetas = " + " ".join(f"{0.09 * k - 0.9:.2f}" for k in range(20))),
+     "thetas: nested(4,4): 20 sources are not identifiable"),
 ]
 
 
@@ -64,7 +67,7 @@ INVALID_SETTINGS = [
 @pytest.mark.parametrize("edit,field", INVALID_SETTINGS,
                          ids=["a", "method", "snr_db", "grid", "snapshots",
                               "unknown_key", "seed", "repeated_key",
-                              "nan_theta", "inf_power"])
+                              "nan_theta", "inf_power", "unidentifiable"])
 def test_invalid_setting_exits_2(tmp_path, capsys, command, edit, field):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(ESTIMATE_CFG.replace(*edit))
@@ -278,6 +281,23 @@ class TestSweepCommand:
                                            extra=["--workers", "2"])
         assert code == 2
         assert "grid_size" in captured.err
+
+    def test_unidentifiable_run_exits_before_any_sweep(
+            self, tmp_path, capsys, monkeypatch):
+        # nested(4,4) fits five sources and ula(4) does not: its error
+        # stops the command before nested(4,4)'s trials run
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("rmse_sweep called")
+
+        monkeypatch.setattr("sladoa.cli.rmse_sweep", no_sweep)
+        text = (SWEEP_CFG.replace("nested 4 4 ; mra 8", "nested 4 4 ; ula 4")
+                .replace("thetas = -0.8, 0, 0.8",
+                         "thetas = -0.8 -0.4 0 0.4 0.8")
+                .replace("a = 0 3", "a = 0"))
+        code, out, captured = self.run_sweep(tmp_path, capsys, text)
+        assert code == 2
+        assert "thetas: ula(4): 5 sources" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):

@@ -23,6 +23,9 @@ THETAS5 = (-0.8, -0.4, 0.0, 0.4, 0.8)
 # theta = -1 is endfire, z = -1: an estimate may land just below +1
 ENDFIRE3 = (-1.0, 0.0, 0.5)
 ENDFIRE5 = (-1.0, -0.4, 0.0, 0.4, 0.8)
+# five sources spread to near endfire; at a_max, M = D + 1 = 6 and every
+# root is a double root (hardest on nested(3,5), a = 14)
+SPREAD5 = (-0.95, -0.5, 0.05, 0.55, 0.97)
 
 
 def population_smoothed(geom, thetas, noise_var, a):
@@ -253,6 +256,26 @@ class TestRootMusic:
             partner = 1.0 / np.conj(z)
             assert np.min(np.abs(roots - partner)) < 1e-6 * max(1.0, abs(partner))
 
+    @pytest.mark.parametrize("n, a, thetas, snapshots, noise_var, seed", [
+        # the real companion splits a double root into two real x-roots
+        # 4.7e-6 apart in theta, on either side of it; their mean is it
+        (41, 5, THETAS3, 1000, 0.024378174208277346, 449280152),
+        # seven sources at 34 dB, M = 37, the largest real-path window
+        (38, 1, (-0.9166250241981901, -0.6491742178037301,
+                 -0.5864824382197988, -0.5253866002211929,
+                 -0.45018011719218864, -0.09676364864544218,
+                 0.6426050867047184), 30000, 0.0004121014289673618,
+         58599457),
+    ], ids=["M36-split-pair", "M37-34dB"])
+    def test_sampled_double_roots_match_companion(self, n, a, thetas,
+                                                  snapshots, noise_var, seed):
+        noise = sampled_subspace(build_ula(n), thetas, a, snapshots,
+                                 noise_var, seed)
+        res = root_music(noise, len(thetas))
+        ref = companion_root_music(noise, len(thetas))
+        assert res.fill_count == ref.fill_count == 0
+        assert np.max(np.abs(res.thetas - ref.thetas)) <= 1e-8
+
     def test_rejects_small_window(self):
         with pytest.raises(ValueError):
             root_music(np.ones((1, 1)), 1)
@@ -296,8 +319,8 @@ class TestEndToEnd:
         # endfire scenes put a root at z = -1, the pole of an unrotated
         # Cayley map.  Three-source scenes run where five do not fit.
         udof = difference_coarray(geom).udof
-        scenes = [th for th in (THETAS3, THETAS5, ENDFIRE3, ENDFIRE5)
-                  if udof >= 2 * len(th) + 1]
+        scenes = [th for th in (THETAS3, THETAS5, ENDFIRE3, ENDFIRE5,
+                                SPREAD5) if udof >= 2 * len(th) + 1]
         if not scenes:
             pytest.skip("three sources are not identifiable")
         for thetas in scenes:

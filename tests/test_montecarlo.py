@@ -86,19 +86,25 @@ class TestConfigValidation:
         assert outputs[0] == outputs[1]
 
     def test_numpy_integers_write_a_loadable_sidecar(self, tmp_path):
-        cfg = make_cfg(a=np.int64(3), trials=np.int64(2), seed=np.int64(99),
-                       snapshots=np.int64(200), axis="snapshots",
-                       axis_values=np.array([100, 300]))
         as_python = make_cfg(a=3, trials=2, seed=99, snapshots=200,
-                             axis="snapshots", axis_values=(100.0, 300.0))
-        assert cfg == as_python
-        result = rmse_sweep(cfg)
-        path = tmp_path / "out.json"
-        write_sweep_json([result], path)
-        config = json.loads(path.read_text())[0]["config"]
-        assert (config["a"], config["trials"], config["seed"],
-                config["snapshots"], config["axis_values"]) == (
-                    3, 2, 99, 200, [100.0, 300.0])
+                             axis="snapshots", axis_values=(100.0, 300.0),
+                             powers=(1.0, 2.0, 1.0), snr_db=10.0)
+        as_list = replace(as_python, powers=[1.0, 2.0, 1.0])
+        assert as_list == as_python and hash(as_list) == hash(as_python)
+        for powers in (np.array([1, 2, 1]), tuple(np.array([1, 2, 1])),
+                       tuple(np.float32(p) for p in (1, 2, 1))):
+            cfg = make_cfg(a=np.int64(3), trials=np.int64(2),
+                           seed=np.int64(99), snapshots=np.int64(200),
+                           axis="snapshots", axis_values=np.array([100, 300]),
+                           powers=powers, snr_db=np.float32(10))
+            assert cfg == as_python
+            path = tmp_path / "out.json"
+            write_sweep_json([rmse_sweep(cfg)], path)
+            config = json.loads(path.read_text())[0]["config"]
+            assert (config["a"], config["trials"], config["seed"],
+                    config["snapshots"], config["axis_values"],
+                    config["powers"], config["snr_db"]) == (
+                        3, 2, 99, 200, [100.0, 300.0], [1.0, 2.0, 1.0], 10.0)
 
     def test_rejects_music_grid_below_sources(self):
         with pytest.raises(ValueError, match="grid_size:.*fewer than d=3"):
