@@ -157,8 +157,8 @@ def pick_peaks(s: Spectrum, d: int) -> EstimationResult:
 
 @lru_cache(maxsize=64)
 def _cayley_basis(lag: int) -> np.ndarray:
-    """Row k + L holds the ascending x-coefficients of
-    (1+jx)^(L+k) (1-jx)^(L-k), k = -L..L, so that with
+    """The real form of B, whose row k + L holds the ascending
+    x-coefficients of (1+jx)^(L+k) (1-jx)^(L-k), k = -L..L, so that with
     z = (1+jx)/(1-jx), sum_k t_k z^k = (t @ B)(x) / (1+x^2)^L.
 
     The coefficient of x^n is j^n times an integer; the integers are
@@ -166,6 +166,11 @@ def _cayley_basis(lag: int) -> np.ndarray:
     lag ``root_music`` roots this way) and rounded once.  Moving one
     factor from (1-jx) to (1+jx) is, on the integers, adding the shifted
     row and then a cumulative sum (the exact division by 1 - jx).
+
+    Rows 2i and 2i + 1 hold Re B[i] and -Im B[i], so for complex t,
+    Re(t @ B) = t.view(float) @ basis: a real product, whose bits do not
+    depend on how BLAS splits it across threads, as a complex one's did
+    at L = 36.
     """
     n = 2 * lag + 1
     row = np.array([(-1) ** i * math.comb(n - 1, i) for i in range(n)],
@@ -176,6 +181,7 @@ def _cayley_basis(lag: int) -> np.ndarray:
         rows.append(row)
     j_powers = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
     basis = np.array(rows, dtype=float) * j_powers
+    basis = np.stack((basis.real, -basis.imag), axis=1).reshape(2 * n, n)
     basis.flags.writeable = False           # one array serves every caller
     return basis
 
@@ -234,7 +240,7 @@ def root_music(noise: np.ndarray, d: int) -> EstimationResult:
         size = 4 * t.size
         phi = 2 * np.pi * np.argmax(_circle_values(t, size)) / size
         rotated = t * np.exp(1j * phi * np.arange(-lag, lag + 1))
-        x = polynomial_roots((rotated @ _cayley_basis(lag)).real)
+        x = polynomial_roots(rotated.view(float) @ _cayley_basis(lag))
         outside = x.imag < 0
         ring = np.flatnonzero(x.imag == 0)
         ring = ring[np.argsort(x.real[ring])]

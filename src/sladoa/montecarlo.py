@@ -5,11 +5,17 @@ through :class:`numpy.random.SeedSequence`, so results are identical
 for any execution order or worker count.  Squared errors are collected
 per trial and reduced in a fixed order, keeping the float summation
 deterministic under parallelism.
+
+Parallel sweeps share one process pool for the life of the process: it
+is forked at the first sweep with ``workers > 1`` and its workers are
+joined at interpreter exit.
 """
 
 import csv
 import json
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from functools import partial
 from numbers import Real
@@ -187,30 +193,73 @@ def run_trial(cfg: ExperimentConfig, axis_value, axis_index: int,
 def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """RMSE over the axis: sqrt(mean of squared errors over trials and
     sources), no outlier rejection.  Each axis point maps ``run_trial``
-    over its trials; ``workers > 1`` maps them in min(workers, trials)
-    processes, in ceil(trials / workers)-trial chunks, so at most
-    ``workers`` tasks per point.  ``workers`` must be an integer >= 1
+    over its trials; ``workers > 1`` maps them on the process's shared
+    pool of min(workers, trials) processes, in ceil(trials / workers)-
+    trial chunks, so at most ``workers`` tasks per point.  The pool is
+    forked at the first such sweep and kept for every later sweep of its
+    size until exit; a sweep of another size replaces it.  If a worker
+    dies, the sweep runs once more on a new pool, and a second break
+    raises ``BrokenProcessPool``.  ``workers`` must be an integer >= 1
     (2.0 counts, 2.5 not), or ValueError is raised."""
     cfg.validate()
     if not _is_count(workers):
         raise ValueError("workers: must be an integer >= 1")
+    workers = min(int(workers), cfg.trials)
+    if workers == 1:
+        return _sweep(cfg, map)
+    chunk = -(-cfg.trials // workers)
+    with _pool_lock:                    # one sweep at a time owns the pool
+        for retry in (False, True):
+            try:
+                return _sweep(cfg, partial(_shared_pool(workers).map,
+                                           chunksize=chunk))
+            except BrokenProcessPool:
+                # a worker died, perhaps while the pool sat idle since the
+                # last sweep; the trials are seeded, so a rerun is identical
+                _drop_pool()
+                if retry:
+                    raise
+
+
+def _sweep(cfg: ExperimentConfig, map_trials) -> SweepResult:
+    """The sweep of ``cfg`` with each axis point's trials mapped by
+    ``map_trials(fn, trial_indices)``, in trial order."""
     k, d = cfg.trials, len(cfg.thetas)
-    workers = min(int(workers), k)          # an idle worker is a wasted fork
     rmse, fills, mean_t = [], [], []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for ai, av in enumerate(cfg.axis_values):
-            trial = partial(run_trial, cfg, av, ai)
-            rows = (map(trial, range(k)) if pool is None else
-                    pool.map(trial, range(k), chunksize=-(-k // workers)))
-            sq, fl, tm = (np.array(column) for column in zip(*rows))
-            rmse.append(float(np.sqrt(np.sum(sq) / (k * d))))
-            fills.append(int(np.sum(fl)))
-            mean_t.append(float(np.mean(tm)))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for ai, av in enumerate(cfg.axis_values):
+        rows = map_trials(partial(run_trial, cfg, av, ai), range(k))
+        sq, fl, tm = (np.array(column) for column in zip(*rows))
+        rmse.append(float(np.sqrt(np.sum(sq) / (k * d))))
+        fills.append(int(np.sum(fl)))
+        mean_t.append(float(np.mean(tm)))
     return SweepResult(cfg, tuple(rmse), tuple(fills), tuple(mean_t))
+
+
+# (size, pool): the one process pool of this process, or None.  It is
+# kept between sweeps because a fresh worker's first trial takes about
+# ten times as long as a warm one's.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _shared_pool(size: int) -> ProcessPoolExecutor:
+    """The process's pool of ``size`` workers, created at first use.  A
+    pool of another size is shut down first: at most one pool is alive,
+    so no fork runs beside another pool's threads."""
+    global _pool
+    if _pool is not None and _pool[0] != size:
+        _drop_pool()
+    if _pool is None:
+        _pool = (size, ProcessPoolExecutor(max_workers=size))
+    return _pool[1]
+
+
+def _drop_pool() -> None:
+    """Shut down and forget the shared pool, if there is one."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown()
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:

@@ -1,13 +1,19 @@
 """Command-line interface: parsing, output contracts, and exit codes.
 
 Everything runs in-process through ``sladoa.cli.main`` so stdout/stderr
-can be captured with capsys."""
+can be captured with capsys, except the sweeps that must run in a fresh
+interpreter: under a set BLAS thread count, or to see what outlives it."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sladoa
 from sladoa.cli import main, parse_config, parse_geometry
 from sladoa.geometry import build_mra, build_nested
 from sladoa.montecarlo import ExperimentConfig, rmse_sweep, write_sweep_csv
@@ -33,6 +39,19 @@ snapshots = 200
 trials = 8
 seed = 11
 grid = 600
+"""
+
+# mra(10) roots windows up to M = 37, the largest through the real
+# Cayley polynomial, whose 73x73 product BLAS may split across threads
+MRA10_CFG = """\
+geometry = mra 10
+thetas = -0.5, 0.1, 0.6
+method = vws-ca-rmusic
+a = 0 4
+snr_db = 0 10
+snapshots = 200
+trials = 20
+seed = 5
 """
 
 # ``estimate``'s stdout for ESTIMATE_CFG, pinned so that any change to how
@@ -61,6 +80,40 @@ INVALID_SETTINGS = [
       "thetas = " + " ".join(f"{0.09 * k - 0.9:.2f}" for k in range(20))),
      "thetas: nested(4,4): 20 sources are not identifiable"),
 ]
+
+
+def cli_process(args, **env) -> int:
+    """Run ``python -m sladoa.cli args`` to exit in a child process that
+    leads its own session, with ``env`` added to this environment, and
+    return its pid, which is also its session id."""
+    src = str(Path(sladoa.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-m", "sladoa.cli", *args],
+                            env={**os.environ, "PYTHONPATH": path, **env},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+        raise
+    assert proc.returncode == 0, err
+    return proc.pid
+
+
+def session_processes(sid: int) -> list:
+    """Pids of the processes, live or zombie, in session ``sid``."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # after the command name: state, ppid, pgrp, session, ...
+            session = int(stat.read_text().rsplit(")", 1)[1].split()[3])
+        except OSError:                 # it exited while we looked
+            continue
+        if session == sid:
+            pids.append(int(stat.parent.name))
+    return pids
 
 
 @pytest.mark.parametrize("command", ["estimate", "sweep"])
@@ -209,6 +262,26 @@ class TestSweepCommand:
         code = main(["sweep", str(cfg), "--out", str(out)] + list(extra))
         return code, out, capsys.readouterr()
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="needs /proc")
+    def test_sweep_command_leaves_no_process(self, tmp_path):
+        cfg = tmp_path / "sweep.txt"
+        cfg.write_text(SWEEP_CFG)
+        sid = cli_process(["sweep", str(cfg), "--out", str(tmp_path / "o.csv"),
+                           "--workers", "2"])
+        assert session_processes(sid) == []
+
+    def test_root_music_csv_independent_of_blas_threads(self, tmp_path):
+        cfg = tmp_path / "mra.txt"
+        cfg.write_text(MRA10_CFG)
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            cli_process(["sweep", str(cfg), "--out", str(out)],
+                        OPENBLAS_NUM_THREADS=threads)
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_row_per_combination(self, tmp_path, capsys):
         code, out, _ = self.run_sweep(tmp_path, capsys)
         assert code == 0
@@ -275,7 +348,7 @@ class TestSweepCommand:
         def no_pool(*args, **kwargs):
             raise AssertionError("process pool started")
 
-        monkeypatch.setattr("sladoa.montecarlo.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("sladoa.montecarlo._shared_pool", no_pool)
         text = SWEEP_CFG.replace("grid = 600", "grid = 2")
         code, _, captured = self.run_sweep(tmp_path, capsys, text,
                                            extra=["--workers", "2"])

@@ -6,11 +6,14 @@ test_acceptance.py."""
 import csv
 import json
 import math
+import os
+import signal
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from sladoa import montecarlo
 from sladoa.geometry import build_mra, build_nested
 from sladoa.montecarlo import (ExperimentConfig, estimate_trial, rmse_sweep,
                                run_trial, trial_seed, write_sweep_csv,
@@ -163,6 +166,14 @@ class TestRunTrial:
         assert result.rmse[0] < 0.01
 
 
+@pytest.fixture
+def fresh_pool():
+    """No shared process pool before the test, and none left after it."""
+    montecarlo._drop_pool()
+    yield
+    montecarlo._drop_pool()
+
+
 class TestRmseSweep:
     def test_single_trial_definition(self):
         cfg = make_cfg(trials=1, axis_values=(5.0,))
@@ -195,7 +206,7 @@ class TestRmseSweep:
                            match="workers: must be an integer >= 1"):
             rmse_sweep(make_cfg(trials=2), workers=workers)
 
-    def test_pool_capped_at_trials(self, monkeypatch):
+    def test_pool_capped_at_trials(self, monkeypatch, fresh_pool):
         sizes, chunksizes = [], []
 
         class InProcessPool:
@@ -222,6 +233,30 @@ class TestRmseSweep:
             assert len(chunksizes) == len(cfg.axis_values)
             assert all(-(-trials // c) <= size for c in chunksizes)
             assert capped.rmse == rmse_sweep(cfg, workers=1).rmse
+
+    def test_one_pool_across_sweeps(self, monkeypatch, fresh_pool):
+        built = []
+
+        class CountedPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr("sladoa.montecarlo.ProcessPoolExecutor",
+                            CountedPool)
+        results = [rmse_sweep(make_cfg(trials=4, seed=s), workers=2)
+                   for s in (1, 2, 3)]
+        assert built == [2]
+        assert results[0].rmse == rmse_sweep(make_cfg(trials=4, seed=1)).rmse
+
+    def test_broken_pool_is_replaced(self, fresh_pool):
+        cfg = make_cfg(trials=6)
+        serial = rmse_sweep(cfg)
+        rmse_sweep(cfg, workers=2)
+        pid = montecarlo._shared_pool(2).submit(os.getpid).result(timeout=60)
+        os.kill(pid, signal.SIGKILL)
+        rerun = rmse_sweep(cfg, workers=2)
+        assert (rerun.rmse, rerun.fills) == (serial.rmse, serial.fills)
 
     def test_snr_monotonicity_smoke(self):
         cfg = make_cfg(axis_values=(-10.0, 20.0), trials=60)
