@@ -4,7 +4,9 @@
 contiguous lags -(G-1)..(G-1): each entry is the covariance averaged
 over the sensor pairs at that lag.  ``lag_sums`` is the one kernel
 that sums matrix entries by lag; root-MUSIC's polynomial reads it too.
-Both read the pair-lag table that ``difference_coarray`` is built from.
+Both read the pair-lag table that ``difference_coarray`` is built from,
+and both take a stack of matrices as well as one, as ``_smooth`` takes
+a stack of coarray vectors: a Monte Carlo block runs each in one call.
 Smoothing slides a length-M window over the coarray vector: window p
 (1-based, p = 1..P with P = G + a and M = G - a) covers lags
 a-p+1 .. a-p+M, so the reference window p = a+1 spans lags 0..M-1.
@@ -15,7 +17,6 @@ Windows that exclude lag 0 carry no noise spike; shrinking the window
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import ArrayGeometry, _pair_lags, difference_coarray
 
@@ -56,25 +57,32 @@ def max_shrinkage(udof: int, d: int) -> int:
 
 
 def lag_sums(mat: np.ndarray, positions) -> np.ndarray:
-    """Sums of the entries (i, j) of a square matrix by lag
-    positions[j] - positions[i], ascending over the lags
-    -aperture..aperture; each sum runs in row-major order."""
+    """Sums of the entries (i, j) of a square matrix, or of each matrix
+    of a (..., n, n) stack, by lag positions[j] - positions[i],
+    ascending over the lags -aperture..aperture; each sum runs in
+    row-major order, so a matrix sums alike alone or in a stack."""
     bins, counts, _ = _pair_lags(tuple(positions))
-    flat = np.asarray(mat).ravel()
-    return (np.bincount(bins, flat.real, counts.size)
-            + 1j * np.bincount(bins, flat.imag, counts.size))
+    mat = np.asarray(mat)
+    k = mat.size // bins.size
+    if k > 1:                                 # matrix i sums into row i
+        bins = (bins + counts.size * np.arange(k)[:, None]).ravel()
+    flat = mat.ravel()
+    sums = (np.bincount(bins, flat.real, k * counts.size)
+            + 1j * np.bincount(bins, flat.imag, k * counts.size))
+    return sums.reshape(mat.shape[:-2] + counts.shape)
 
 
 def coarray_signal(r: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
     """Average covariance entries over sensor pairs at each contiguous
-    lag; lags outside the hole-free segment are discarded."""
+    lag, for one covariance or each of a (..., N, N) stack; lags outside
+    the hole-free segment are discarded."""
     r = np.asarray(r, dtype=complex)
-    if r.shape != (geom.n, geom.n):
+    if r.shape[-2:] != (geom.n, geom.n):
         raise ValueError("covariance dimension does not match geometry")
     g = difference_coarray(geom).g
     segment = slice(geom.aperture + 1 - g, geom.aperture + g)
     counts = _pair_lags(geom.positions)[1]      # ``Coarray.counts`` as array
-    return lag_sums(r, geom.positions)[segment] / counts[segment]
+    return lag_sums(r, geom.positions)[..., segment] / counts[segment]
 
 
 def vws_smooth(x: np.ndarray, a: int) -> SmoothedMatrix:
@@ -83,11 +91,19 @@ def vws_smooth(x: np.ndarray, a: int) -> SmoothedMatrix:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 1 or x.size % 2 == 0:
         raise ValueError("coarray vector must be 1-D with odd length")
+    return SmoothedMatrix(_smooth(x[None], a)[0])
+
+
+def _smooth(x: np.ndarray, a) -> np.ndarray:
+    """``vws_smooth`` of each row of a (K, 2G - 1) stack: the (K, M, M)
+    smoothed matrices, from one gather of the windows and one stacked
+    matrix product."""
     if not (float(a).is_integer() and a >= 0):
         raise ValueError(f"a: must be an integer >= 0, got {a}")
-    g, a = (x.size + 1) // 2, int(a)
+    g, a = (x.shape[-1] + 1) // 2, int(a)
     m = g - a
     if m < 2:
         raise ValueError(f"a: shrinkage {a} leaves window size {m} < 2")
-    w = sliding_window_view(x, m)                 # rows: windows, ascending lag
-    return SmoothedMatrix(w.T @ w.conj() / (g + a))
+    # row p of w[k]: window p of x[k], lags ascending
+    w = x[:, np.arange(g + a)[:, None] + np.arange(m)]
+    return w.swapaxes(-1, -2) @ w.conj() / (g + a)

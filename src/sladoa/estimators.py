@@ -11,6 +11,14 @@ real one of the same degree, whose real companion EVD is several times
 cheaper than the complex one (unitary root-MUSIC, Pesavento, Gershman
 & Haardt 2000).  Larger windows root the polynomial itself through its
 complex companion matrix.
+
+``_estimate_block`` runs the whole chain for a stack of covariances,
+each stage once for the stack up to the polynomial roots: one coarray
+sum, one smoothing product, one EVD and one companion EVD.  Peak
+picking and root ranking run per estimate.  ``estimate_doas`` is its
+block of one, and the public stage functions are the blocks of one of
+their stacked kernels, so an estimate is bit for bit the same alone or
+in any block.
 """
 
 import math
@@ -21,9 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .coarray import coarray_signal, lag_sums, vws_smooth
+from .coarray import _smooth, coarray_signal, lag_sums
 from .geometry import ArrayGeometry
-from .numerics import hermitian_evd, polynomial_roots
+from .numerics import _companion_roots, hermitian_evd
 
 __all__ = [
     "Spectrum",
@@ -77,12 +85,13 @@ def default_grid(size: int = 2000) -> np.ndarray:
 
 
 def noise_subspace(m: np.ndarray, d: int) -> np.ndarray:
-    """Noise subspace U_N of an M x M Hermitian matrix: the M x (M-d)
-    eigenvectors of all but the d largest eigenvalues."""
+    """Noise subspace U_N of an M x M Hermitian matrix, or of each matrix
+    of a (..., M, M) stack: the M x (M-d) eigenvectors of all but the d
+    largest eigenvalues."""
     m = np.asarray(m)
-    if not 0 <= d < m.shape[0]:
-        raise ValueError(f"need 0 <= d < M, got d={d}, M={m.shape[0]}")
-    return hermitian_evd(m).eigenvectors[:, d:]
+    if not 0 <= d < m.shape[-1]:
+        raise ValueError(f"need 0 <= d < M, got d={d}, M={m.shape[-1]}")
+    return hermitian_evd(m).eigenvectors[..., d:]
 
 
 def music_spectrum(noise: np.ndarray, grid,
@@ -104,26 +113,29 @@ def music_spectrum(noise: np.ndarray, grid,
 
 
 def _noise_polynomial(noise: np.ndarray) -> np.ndarray:
-    """Ascending t_{1-M} .. t_{M-1}; t_k sums diagonal k of U_N U_N^H."""
-    return lag_sums(noise @ noise.conj().T, range(noise.shape[0]))
+    """Ascending t_{1-M} .. t_{M-1}; t_k sums diagonal k of U_N U_N^H.
+    A (..., M, M-d) stack of U_N gives a stack of rows."""
+    return lag_sums(noise @ noise.conj().swapaxes(-1, -2),
+                    range(noise.shape[-2]))
 
 
 def _circle_values(t: np.ndarray, size: int) -> np.ndarray:
     """p(z) = sum_k t_k z^k, k = -L..L, at z = -exp(2*pi*i*j/size) for
     j = 0..size-1: Re sum_k (-1)^k t_k exp(2*pi*i*k*j/size), an inverse
-    DFT of length ``size`` once k is folded mod size."""
-    k = np.arange(t.size) - t.size // 2
-    w = np.zeros(size, dtype=complex)
-    np.add.at(w, k % size, np.where(k % 2, -t, t))
+    DFT of length ``size`` once k is folded mod size.  A stack of rows
+    t gives a row of values each."""
+    k = np.arange(t.shape[-1]) - t.shape[-1] // 2
+    w = np.zeros(t.shape[:-1] + (size,), dtype=complex)
+    np.add.at(w, (..., k % size), np.where(k % 2, -t, t))
     return np.fft.ifft(w, norm="forward").real
 
 
-def _grid_spectrum(noise: np.ndarray, size: int) -> Spectrum:
-    """``music_spectrum`` on ``default_grid(size)``: at theta_j = -1 + 2j/K,
-    exp(j*pi*theta_j) = -exp(2*pi*i*j/K), so the denominators are
-    ``_circle_values`` of the noise polynomial."""
-    denom = _circle_values(_noise_polynomial(noise), size)
-    return Spectrum(default_grid(size), 1.0 / np.maximum(denom, _DENOM_FLOOR))
+def _grid_spectrum(t: np.ndarray, grid: np.ndarray) -> Spectrum:
+    """``music_spectrum`` on ``grid = default_grid(K)`` from the noise
+    polynomial t of U_N: at theta_j = -1 + 2j/K, exp(j*pi*theta_j) =
+    -exp(2*pi*i*j/K), so the denominators are ``_circle_values`` of t."""
+    denom = _circle_values(t, grid.size)
+    return Spectrum(grid, 1.0 / np.maximum(denom, _DENOM_FLOOR))
 
 
 def pick_peaks(s: Spectrum, d: int) -> EstimationResult:
@@ -222,25 +234,74 @@ def root_music(noise: np.ndarray, d: int) -> EstimationResult:
     simple ones polished by one Newton step, give theta = angle(z)/pi
     and ``root_moduli``, and those taken from outside are counted in
     ``fill_count``.
+
+    At M = d + 1 with one noise vector u, the polynomial is
+    q(z) conj(q(1/conj z)) with q(z) = sum_m conj(u_m) z^m, so its roots
+    pair up as r and 1/conj(r).  Unless its corner sum u_0 conj(u_{M-1})
+    was dropped, q of degree d is rooted instead: its roots are simple,
+    and each one's angle is that of the inside member of its pair, which
+    is the root taken, never counted as a fill.
     """
+    return _root_music(np.asarray(noise)[None], d)[0]
+
+
+def _root_music(noise: np.ndarray, d: int) -> list[EstimationResult]:
+    """``root_music`` of each U_N of a (K, M, M - D) stack.  The
+    polynomials of a like degree and kind are rooted by one stacked
+    companion EVD; the ring, the ranking and the Newton step run per
+    estimate."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    noise = np.asarray(noise)
-    m = noise.shape[0]
+    m = noise.shape[-2]
     if m < 2:
         raise ValueError("need M >= 2")
     # t is conjugate-reciprocal: both ends vanish together, and rooting
-    # would divide by a near-zero leading coefficient
+    # would divide by a near-zero leading coefficient.  Row k drops
+    # trims[k] corner pairs, while more than three coefficients remain.
     t = _noise_polynomial(noise)
-    tol = 1e-12 * np.abs(t).max()
-    while t.size > 3 and abs(t[-1]) <= tol:
-        t = t[1:-1]
-    if m <= _CAYLEY_MAX_M:
-        lag = t.size // 2
-        size = 4 * t.size
-        phi = 2 * np.pi * np.argmax(_circle_values(t, size)) / size
-        rotated = t * np.exp(1j * phi * np.arange(-lag, lag + 1))
-        x = polynomial_roots(rotated.view(float) @ _cayley_basis(lag))
+    tol = 1e-12 * np.abs(t).max(axis=-1, keepdims=True)
+    trims = np.cumprod(np.abs(t[:, -1:m:-1]) <= tol, axis=-1).sum(axis=-1)
+    # rows of a kind are rooted together: the corner pairs dropped, or
+    # -1 for rooting q at M = d + 1
+    kind = trims
+    if noise.shape[-1] == 1 and d == m - 1:
+        kind = np.where(np.abs(t[:, -1]) > tol[:, 0], -1, trims)
+    results = [None] * len(t)
+    for k in sorted(set(kind.tolist())):
+        rows = np.flatnonzero(kind == k)
+        if k < 0:
+            block = _root_single_noise(noise[rows, :, 0])
+        else:
+            block = _root_polynomials(t[rows, k:t.shape[-1] - k], m, d)
+        for i, result in zip(rows, block):
+            results[i] = result
+    return results
+
+
+def _root_single_noise(u: np.ndarray) -> list[EstimationResult]:
+    """``root_music`` at M = d + 1 from each row u of noise vectors: the
+    roots r of q(z) = sum_m conj(u_m) z^m, each read as the inside member
+    of the pair r, 1/conj(r)."""
+    r = _companion_roots(u.conj())
+    inside = np.where(np.abs(r) > 1.0, 1.0 / r.conj(), r)
+    return [_estimate(z, 0) for z in inside]
+
+
+def _root_polynomials(t: np.ndarray, m: int, d: int
+                      ) -> list[EstimationResult]:
+    """``root_music`` of each row of a stack of noise polynomials of one
+    length, from windows of size m."""
+    if m > _CAYLEY_MAX_M:
+        roots = _companion_roots(t.astype(complex))
+        return [_pick(row, z, np.abs(z) >= 1.0, d)
+                for row, z in zip(t, roots)]
+    lag = t.shape[-1] // 2
+    size = 4 * t.shape[-1]
+    phi = 2 * np.pi * np.argmax(_circle_values(t, size), axis=-1) / size
+    rotated = t * np.exp(1j * phi[:, None] * np.arange(-lag, lag + 1))
+    q = rotated.view(float)[:, None] @ _cayley_basis(lag)
+    results = []
+    for row, x, rotation in zip(t, _companion_roots(q[:, 0]), phi):
         outside = x.imag < 0
         ring = np.flatnonzero(x.imag == 0)
         ring = ring[np.argsort(x.real[ring])]
@@ -248,41 +309,67 @@ def root_music(noise: np.ndarray, d: int) -> EstimationResult:
         outside[hi] = True
         x[lo] = x[hi] = (x[lo] + x[hi]) / 2
         with np.errstate(divide="ignore", invalid="ignore"):  # x = -j: z = inf
-            z = np.exp(1j * phi) * (1 + 1j * x) / (1 - 1j * x)
-    else:
-        z = polynomial_roots(t.astype(complex))
-        outside = np.abs(z) >= 1.0
+            z = np.exp(1j * rotation) * (1 + 1j * x) / (1 - 1j * x)
+        results.append(_pick(row, z, outside, d))
+    return results
+
+
+def _pick(t: np.ndarray, z: np.ndarray, outside: np.ndarray,
+          d: int) -> EstimationResult:
+    """The d roots z of t ranked first, inside before outside and each
+    side by | 1 - |z| |, the simple ones given one Newton step."""
     picked = np.lexsort((np.abs(1.0 - np.abs(z)), outside))[:d]
-    z = _newton_step(t, z[picked])
+    return _estimate(_newton_step(t, z[picked]),
+                     int(np.count_nonzero(outside[picked])))
+
+
+def _estimate(z: np.ndarray, fill_count: int) -> EstimationResult:
+    """The estimate theta = angle(z)/pi of picked roots z, ascending."""
     thetas = np.angle(z) / np.pi
     thetas = (thetas + 1.0) % 2.0 - 1.0          # fold angle pi onto -1
     order = np.argsort(thetas)
-    return EstimationResult(thetas=thetas[order],
-                            fill_count=int(np.count_nonzero(outside[picked])),
+    return EstimationResult(thetas=thetas[order], fill_count=fill_count,
                             root_moduli=np.abs(z)[order])
 
 
 def estimate_doas(r: np.ndarray, geom: ArrayGeometry, d: int, a: int,
                   method: str = "vws-ca-rmusic",
                   grid_size: int = 2000) -> tuple[EstimationResult, float]:
-    """Full pipeline from an N x N covariance to DOA estimates; the one
-    place that runs coarray, smoothing, EVD and estimator in sequence.
+    """Full pipeline from an N x N covariance to DOA estimates: the
+    block of one of ``_estimate_block``, the one place that runs
+    coarray, smoothing, EVD and estimator in sequence.
 
     Returns the estimate, with the noise subspace U_N in ``noise``, and
     the wall time of the subspace EVD step.  MUSIC searches
     ``default_grid(grid_size)``.
     """
+    r = np.asarray(r)
+    if r.shape != (geom.n, geom.n):             # a stack is no covariance
+        raise ValueError("covariance dimension does not match geometry")
+    results, evd_time = _estimate_block(r[None], geom, d, a, method,
+                                        grid_size)
+    return results[0], evd_time
+
+
+def _estimate_block(covs: np.ndarray, geom: ArrayGeometry, d: int, a: int,
+                    method: str = "vws-ca-rmusic", grid_size: int = 2000
+                    ) -> tuple[list[EstimationResult], float]:
+    """``estimate_doas`` of each covariance of a (K, N, N) stack, each
+    stage run once for the stack; returns the K estimates, each with its
+    U_N in ``noise``, and the wall time of the block's EVD."""
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    sm = vws_smooth(coarray_signal(r, geom), a)
+    sm = _smooth(coarray_signal(covs, geom), a)
     t0 = time.perf_counter()
-    noise = noise_subspace(sm.values, d)
+    noise = noise_subspace(sm, d)
     evd_time = time.perf_counter() - t0
     if method == "vws-ca-music":
-        result = pick_peaks(_grid_spectrum(noise, grid_size), d)
+        grid = default_grid(grid_size)
+        results = [pick_peaks(_grid_spectrum(t, grid), d)
+                   for t in _noise_polynomial(noise)]
     else:
-        result = root_music(noise, d)
-    return replace(result, noise=noise), evd_time
+        results = _root_music(noise, d)
+    return [replace(r, noise=u) for r, u in zip(results, noise)], evd_time
 
 
 def save_spectrum_csv(s: Spectrum, path) -> None:

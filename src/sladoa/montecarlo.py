@@ -2,9 +2,12 @@
 
 Per-trial seeds derive from (master seed, axis index, trial index)
 through :class:`numpy.random.SeedSequence`, so results are identical
-for any execution order or worker count.  Squared errors are collected
-per trial and reduced in a fixed order, keeping the float summation
-deterministic under parallelism.
+for any execution order or worker count.  Each task draws its trials'
+covariances one by one and estimates them in blocks of up to
+``_BLOCK`` trials, each estimator stage one numpy call per block; a
+trial's estimate is bit for bit the same in any block.  Squared errors
+are collected per trial and reduced in a fixed order, keeping the float
+summation deterministic under parallelism.
 
 Parallel sweeps share one process pool for the life of the process: it
 is forked at the first sweep with ``workers > 1`` and its workers are
@@ -23,7 +26,7 @@ from numbers import Real
 import numpy as np
 
 from .coarray import max_shrinkage
-from .estimators import _METHODS, estimate_doas
+from .estimators import _METHODS, _estimate_block, estimate_doas
 from .geometry import ArrayGeometry, difference_coarray
 from .signal_model import (SourceScene, sample_covariance,
                            simulate_snapshots, snr_to_noise_var)
@@ -40,6 +43,9 @@ __all__ = [
 
 _AXES = ("snr", "snapshots")
 _INTEGER_FIELDS = ("a", "snapshots", "trials", "seed", "grid_size")
+# Trials estimated together.  Larger blocks gain little speed and add
+# their stacked arrays to the peak memory.
+_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,8 @@ class SweepResult:
     """The RMSE curve of ``config``: per point of ``config.axis_values``,
     the RMSE, the fill count summed over trials and the mean EVD time.
 
-    ``mean_evd_time`` is wall-clock time: it goes to the JSON sidecar
+    ``mean_evd_time`` is wall-clock time: the mean over trials of each
+    trial's share of its block's EVD time.  It goes to the JSON sidecar
     and never to the CSV, which stays byte-identical run to run.
     """
 
@@ -155,24 +162,39 @@ def trial_seed(master: int, axis_index: int, trial_index: int):
     return np.random.SeedSequence([master, axis_index, trial_index])
 
 
-def estimate_trial(cfg: ExperimentConfig, axis_value, seed):
-    """Draw one snapshot set of ``cfg`` at ``axis_value`` from ``seed``
-    and estimate from its sample covariance; returns what
-    ``estimate_doas`` returns, (EstimationResult, EVD wall time)."""
+def _draw_covariance(cfg: ExperimentConfig, axis_value, seed) -> np.ndarray:
+    """The sample covariance of one snapshot set of ``cfg`` at
+    ``axis_value``, drawn from ``seed``."""
     if cfg.axis == "snr":
         t, noise_var = cfg.snapshots, snr_to_noise_var(float(axis_value))
     else:
         t, noise_var = int(axis_value), snr_to_noise_var(cfg.snr_db)
-    snaps = simulate_snapshots(cfg.scene, cfg.geometry, t, noise_var, seed)
-    return estimate_doas(sample_covariance(snaps), cfg.geometry,
-                         len(cfg.thetas), cfg.a, method=cfg.method,
-                         grid_size=cfg.grid_size)
+    return sample_covariance(
+        simulate_snapshots(cfg.scene, cfg.geometry, t, noise_var, seed))
+
+
+def estimate_trial(cfg: ExperimentConfig, axis_value, seed):
+    """Draw one snapshot set of ``cfg`` at ``axis_value`` from ``seed``
+    and estimate from its sample covariance; returns what
+    ``estimate_doas`` returns, (EstimationResult, EVD wall time)."""
+    return estimate_doas(_draw_covariance(cfg, axis_value, seed),
+                         cfg.geometry, len(cfg.thetas), cfg.a,
+                         method=cfg.method, grid_size=cfg.grid_size)
 
 
 def run_trial(cfg: ExperimentConfig, axis_value, axis_index: int,
               trial_index: int):
-    """One end-to-end trial; returns (squared errors per source, fill
-    count, EVD wall time).
+    """One end-to-end trial, ``_run_trials`` over one index; returns
+    (squared errors per source, fill count, EVD wall time)."""
+    return _run_trials(cfg, axis_value, axis_index, [trial_index])[0]
+
+
+def _run_trials(cfg: ExperimentConfig, axis_value, axis_index: int,
+                trial_indices):
+    """(squared errors per source, fill count, EVD seconds) of each
+    trial of ``trial_indices`` at one axis point, in order.  Trials are
+    drawn one by one from their own seeds and estimated in blocks of up
+    to ``_BLOCK``; each gets an equal share of its block's EVD time.
 
     Errors are scored on the circle θ ≡ θ + 2: the sorted estimates are
     paired with the sorted thetas by the cyclic shift with the least sum
@@ -180,22 +202,31 @@ def run_trial(cfg: ExperimentConfig, axis_value, axis_index: int,
     difference is taken modulo 2 into [-1, 1].  So a source at θ = -1
     estimated just below +1 scores its small error.
     """
-    result, evd_time = estimate_trial(
-        cfg, axis_value, trial_seed(cfg.seed, axis_index, trial_index))
     d = len(cfg.thetas)
     shifts = (np.arange(d)[:, None] + np.arange(d)) % d    # row s: shift s
-    err = result.thetas[shifts] - cfg.thetas
-    err -= 2.0 * np.rint(err / 2.0)
-    sq = err * err
-    return sq[sq.sum(axis=1).argmin()], result.fill_count, evd_time
+    rows = []
+    for start in range(0, len(trial_indices), _BLOCK):
+        block = trial_indices[start:start + _BLOCK]
+        covs = np.array([_draw_covariance(
+            cfg, axis_value, trial_seed(cfg.seed, axis_index, ti))
+            for ti in block])
+        results, evd_time = _estimate_block(covs, cfg.geometry, d, cfg.a,
+                                            cfg.method, cfg.grid_size)
+        for result in results:
+            err = result.thetas[shifts] - cfg.thetas
+            err -= 2.0 * np.rint(err / 2.0)
+            sq = err * err
+            rows.append((sq[sq.sum(axis=1).argmin()], result.fill_count,
+                         evd_time / len(block)))
+    return rows
 
 
 def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """RMSE over the axis: sqrt(mean of squared errors over trials and
-    sources), no outlier rejection.  Each axis point maps ``run_trial``
-    over its trials; ``workers > 1`` maps them on the process's shared
-    pool of min(workers, trials) processes, in ceil(trials / workers)-
-    trial chunks, so at most ``workers`` tasks per point.  The pool is
+    sources), no outlier rejection.  Each axis point runs its trials in
+    ``_run_trials`` tasks of ceil(trials / workers) trials, at most
+    ``workers`` tasks per point; ``workers > 1`` maps them on the
+    process's shared pool of min(workers, trials) processes.  The pool is
     forked at the first such sweep and kept for every later sweep of its
     size until exit; a sweep of another size replaces it.  If a worker
     dies, the sweep runs once more on a new pool, and a second break
@@ -206,13 +237,11 @@ def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
         raise ValueError("workers: must be an integer >= 1")
     workers = min(int(workers), cfg.trials)
     if workers == 1:
-        return _sweep(cfg, map)
-    chunk = -(-cfg.trials // workers)
+        return _sweep(cfg, 1, map)
     with _pool_lock:                    # one sweep at a time owns the pool
         for retry in (False, True):
             try:
-                return _sweep(cfg, partial(_shared_pool(workers).map,
-                                           chunksize=chunk))
+                return _sweep(cfg, workers, _shared_pool(workers).map)
             except BrokenProcessPool:
                 # a worker died, perhaps while the pool sat idle since the
                 # last sweep; the trials are seeded, so a rerun is identical
@@ -221,13 +250,17 @@ def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
                     raise
 
 
-def _sweep(cfg: ExperimentConfig, map_trials) -> SweepResult:
-    """The sweep of ``cfg`` with each axis point's trials mapped by
-    ``map_trials(fn, trial_indices)``, in trial order."""
+def _sweep(cfg: ExperimentConfig, tasks: int, map_tasks) -> SweepResult:
+    """The sweep of ``cfg`` with each axis point's trials split into
+    ``tasks`` runs of consecutive trials, mapped by ``map_tasks(fn,
+    runs)`` and reduced in trial order."""
     k, d = cfg.trials, len(cfg.thetas)
+    size = -(-k // tasks)
+    runs = [range(i, min(i + size, k)) for i in range(0, k, size)]
     rmse, fills, mean_t = [], [], []
     for ai, av in enumerate(cfg.axis_values):
-        rows = map_trials(partial(run_trial, cfg, av, ai), range(k))
+        rows = [row for task_rows in map_tasks(
+            partial(_run_trials, cfg, av, ai), runs) for row in task_rows]
         sq, fl, tm = (np.array(column) for column in zip(*rows))
         rmse.append(float(np.sqrt(np.sum(sq) / (k * d))))
         fills.append(int(np.sum(fl)))

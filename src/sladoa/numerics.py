@@ -1,9 +1,10 @@
 """Numeric kernels: Hermitian EVD and polynomial rooting.
 
-Both delegate to LAPACK via numpy; the contracts (residual and
-orthonormality tolerances) are what the rest of the package relies on.
-Real coefficients stay real, so root-MUSIC's Cayley-mapped polynomial
-is rooted by the real companion EVD, several times cheaper than the
+Both delegate to LAPACK via numpy, one call for a whole stack of
+matrices or polynomials; the contracts (residual and orthonormality
+tolerances) are what the rest of the package relies on.  Real
+coefficients stay real, so root-MUSIC's Cayley-mapped polynomial is
+rooted by the real companion EVD, several times cheaper than the
 complex one.
 """
 
@@ -23,19 +24,34 @@ class EigenDecomposition:
 
 
 def hermitian_evd(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    (..., M, M) stack, eigenvalues descending.
 
     The input is symmetrized as (A + A^H)/2 first; sample covariances
     carry last-ulp asymmetry.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("input must be a square matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("input contains non-finite entries")
-    h = 0.5 * (m + m.conj().T)
+    h = 0.5 * (m + m.conj().swapaxes(-1, -2))
     vals, vecs = np.linalg.eigh(h)
-    return EigenDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
+    return EigenDecomposition(vals[..., ::-1].copy(), vecs[..., ::-1].copy())
+
+
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """The roots of each row of a (..., n + 1) stack of ascending
+    coefficients whose last (leading) entry is nonzero: the eigenvalues
+    of the companion matrix ``np.roots`` builds, found by one
+    ``eigvals`` call for the stack.  Real rows give real roots if every
+    root of the stack is real."""
+    c = np.asarray(coeffs)
+    n = c.shape[-1] - 1
+    a = np.zeros(c.shape[:-1] + (n, n), dtype=c.dtype)
+    a[..., np.arange(1, n), np.arange(n - 1)] = 1
+    a[..., 0, :] = -c[..., -2::-1] / c[..., -1:]
+    return np.linalg.eigvals(a)
 
 
 def polynomial_roots(coeffs) -> np.ndarray:
@@ -50,4 +66,7 @@ def polynomial_roots(coeffs) -> np.ndarray:
         raise ValueError("zero polynomial has no well-defined roots")
     if c.size == 1:
         raise ValueError("polynomial degree must be >= 1")
-    return np.roots(c[::-1])
+    nonzero = np.trim_zeros(c, trim="f")        # z = 0 for each zero dropped
+    roots = (_companion_roots(nonzero) if nonzero.size > 1
+             else np.zeros(0, c.dtype))
+    return np.concatenate((roots, np.zeros(c.size - nonzero.size, roots.dtype)))

@@ -5,11 +5,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sladoa.estimators import EstimationResult, _noise_polynomial
+from sladoa.coarray import coarray_signal, vws_smooth
+from sladoa.estimators import (EstimationResult, _noise_polynomial,
+                               default_grid, music_spectrum, pick_peaks,
+                               root_music)
 from sladoa.geometry import (ArrayGeometry, Coarray, build_mra, build_nested,
                              build_super_nested, build_ula,
                              difference_coarray)
-from sladoa.numerics import polynomial_roots
+from sladoa.numerics import hermitian_evd, polynomial_roots
 from sladoa.signal_model import SourceScene, steering_matrix
 
 # Every builder, at sizes up to mra(10) (UDOF 73, largest window M = 37).
@@ -111,3 +114,17 @@ def companion_root_music(noise: np.ndarray, d: int) -> EstimationResult:
     return EstimationResult(thetas=thetas[order],
                             fill_count=int(np.count_nonzero(outside[picked])),
                             root_moduli=moduli[picked][order])
+
+
+def chained_estimate(r: np.ndarray, geom: ArrayGeometry, d: int, a: int,
+                     method: str, grid_size: int = 2000) -> EstimationResult:
+    """One covariance through the public stages in turn, one call each:
+    ``coarray_signal``, ``vws_smooth``, ``hermitian_evd``, then
+    ``root_music``, or ``music_spectrum`` on ``default_grid(grid_size)``
+    and ``pick_peaks``.  The block engine, which runs each stage once for
+    a stack of covariances, must reproduce it."""
+    smoothed = vws_smooth(coarray_signal(r, geom), a).values
+    noise = hermitian_evd(smoothed).eigenvectors[:, d:]
+    if method == "vws-ca-music":
+        return pick_peaks(music_spectrum(noise, default_grid(grid_size)), d)
+    return root_music(noise, d)

@@ -8,18 +8,21 @@ import pytest
 
 from sladoa.coarray import (coarray_signal, difference_coarray,
                             max_shrinkage, vws_smooth)
-from sladoa.estimators import (Spectrum, _grid_spectrum, _noise_polynomial,
-                               default_grid, estimate_doas, music_spectrum, noise_subspace,
-                               pick_peaks, root_music, save_spectrum_csv)
+from sladoa.estimators import (Spectrum, _estimate_block, _grid_spectrum,
+                               _noise_polynomial, default_grid, estimate_doas,
+                               music_spectrum, noise_subspace, pick_peaks,
+                               root_music, save_spectrum_csv)
 from sladoa.geometry import build_mra, build_nested, build_super_nested, build_ula
 from sladoa.signal_model import (SourceScene, exact_covariance,
                                  sample_covariance, simulate_snapshots,
                                  steering_matrix)
 
-from reference import BUILDER_GEOMETRIES, companion_root_music
+from reference import (BUILDER_GEOMETRIES, chained_estimate,
+                       companion_root_music)
 
 THETAS3 = (-0.8, 0.0, 0.8)
 THETAS5 = (-0.8, -0.4, 0.0, 0.4, 0.8)
+METHODS = ("vws-ca-music", "vws-ca-rmusic")
 # theta = -1 is endfire, z = -1: an estimate may land just below +1
 ENDFIRE3 = (-1.0, 0.0, 0.5)
 ENDFIRE5 = (-1.0, -0.4, 0.0, 0.4, 0.8)
@@ -157,7 +160,7 @@ class TestNoisePolynomial:
         for size in (1, m, 2 * m - 2, 600, 2000):
             grid = default_grid(size)
             ref = 1.0 / music_spectrum(noise, grid).values
-            fast = _grid_spectrum(noise, size)
+            fast = _grid_spectrum(_noise_polynomial(noise), grid)
             np.testing.assert_array_equal(fast.grid, grid)
             assert np.max(np.abs(1.0 / fast.values - ref)) <= 1e-10 * ref.max()
 
@@ -167,7 +170,8 @@ class TestNoisePolynomial:
         # their size, are where the peaks are picked
         noise, d = sampled_noise(geom)
         ref = pick_peaks(music_spectrum(noise, default_grid(size)), d)
-        fast = pick_peaks(_grid_spectrum(noise, size), d)
+        fast = pick_peaks(_grid_spectrum(_noise_polynomial(noise),
+                                         default_grid(size)), d)
         np.testing.assert_array_equal(fast.thetas, ref.thetas)
         assert (fast.peaks_found, fast.fill_count) == (ref.peaks_found,
                                                        ref.fill_count)
@@ -276,6 +280,31 @@ class TestRootMusic:
         assert res.fill_count == ref.fill_count == 0
         assert np.max(np.abs(res.thetas - ref.thetas)) <= 1e-8
 
+    def test_single_noise_vector_roots_q(self):
+        # M = D + 1 on ula(D + 1 + a): the one noise vector u gives
+        # q(z) = sum_m conj(u_m) z^m, whose D simple roots carry the
+        # angles; rooting the Laurent polynomial instead, whose roots are
+        # all double, missed 31 of these scenes by up to 2.2e-6
+        rng = np.random.default_rng(20261019)
+        for scene in range(200):
+            d, a = int(rng.integers(1, 9)), int(rng.integers(0, 6))
+            thetas = tuple(np.sort(rng.uniform(-1, 1, d)))
+            snapshots = int(np.exp(rng.uniform(np.log(20), np.log(30000))))
+            noise_var = 10 ** (-rng.uniform(-5, 80) / 10)
+            noise = sampled_subspace(build_ula(d + 1 + a), thetas, a,
+                                     snapshots, noise_var, scene)
+            assert noise.shape == (d + 1, 1)
+            r = np.roots(np.conj(noise[::-1, 0]))
+            expected = (np.angle(r) / np.pi + 1.0) % 2.0 - 1.0
+            res = root_music(noise, d)
+            assert res.fill_count == 0
+            err = wrapped_error(res.thetas, expected)
+            assert err <= 1e-8, (f"scene {scene}: d={d}, a={a}, "
+                                 f"T={snapshots}: {err:.1e}")
+            inside = np.minimum(np.abs(r), 1 / np.abs(r))
+            np.testing.assert_allclose(np.sort(res.root_moduli),
+                                       np.sort(inside), rtol=1e-8)
+
     def test_rejects_small_window(self):
         with pytest.raises(ValueError):
             root_music(np.ones((1, 1)), 1)
@@ -380,6 +409,12 @@ class TestEndToEnd:
         res, _ = estimate_doas(r, geom, 9, 0, method="vws-ca-rmusic")
         assert np.max(np.abs(res.thetas - np.array(thetas))) < 1e-6
 
+    def test_rejects_a_stack_of_covariances(self):
+        geom = build_nested(4, 4)
+        r = exact_covariance(SourceScene.unit_powers(THETAS3), geom, 1.0)
+        with pytest.raises(ValueError, match="does not match geometry"):
+            estimate_doas(np.array([r, r]), geom, 3, 0)
+
     def test_unknown_method(self, monkeypatch):
         calls = []
         for stage in ("coarray_signal", "hermitian_evd"):
@@ -422,3 +457,77 @@ def test_root_music_matches_companion_rooting(geom):
                     assert res.fill_count == ref.fill_count, where
                     err = wrapped_error(res.thetas, ref.thetas)
                     assert err <= 1e-7, f"{where}: {err:.1e}"
+
+
+def sampled_block(geom, thetas, a, snapshots, noise_var, seeds):
+    """A (K, N, N) stack of sample covariances, one per seed."""
+    scene = SourceScene.unit_powers(thetas)
+    return np.array([sample_covariance(simulate_snapshots(
+        scene, geom, snapshots, noise_var, seed=seed)) for seed in seeds])
+
+
+class TestBlockEngine:
+    """``_estimate_block`` runs each stage once for a stack of
+    covariances; it must reproduce the public stages chained one
+    covariance at a time."""
+
+    @staticmethod
+    def assert_matches_chain(covs, geom, d, a, method, where=""):
+        results, _ = _estimate_block(covs, geom, d, a, method)
+        assert len(results) == len(covs)
+        for k, (r, res) in enumerate(zip(covs, results)):
+            ref = chained_estimate(r, geom, d, a, method)
+            err = np.max(np.abs(res.thetas - ref.thetas))
+            assert err <= 1e-12, f"{where} trial {k}: {err:.1e}"
+            assert (res.fill_count, res.peaks_found) == (
+                ref.fill_count, ref.peaks_found), f"{where} trial {k}"
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("geom", BUILDER_GEOMETRIES + [build_nested(6, 6)],
+                             ids=lambda g: g.name)
+    def test_block_matches_chained_stages(self, geom, method):
+        # a at 0, a_max // 2 and a_max, where M = d + 1; windows reach
+        # M = 37 on mra(10), the largest rooted through the real Cayley
+        # polynomial, and M = 42 on nested(6,6), through the complex
+        # companion
+        udof = difference_coarray(geom).udof
+        d = min(3, (udof - 1) // 2)
+        thetas = tuple(np.linspace(-0.6, 0.6, d))
+        a_max = max_shrinkage(udof, d)
+        for a in sorted({0, a_max // 2, a_max}):
+            covs = sampled_block(geom, thetas, a, 100, 1.0,
+                                 [(11, a, k) for k in range(8)])
+            self.assert_matches_chain(covs, geom, d, a, method, f"a={a}")
+
+    def test_corner_trimmed_rows_share_a_block(self):
+        # on ula(9) with THETAS5 at a = 1 (M = 8), the population noise
+        # polynomial loses two corner pairs; sampled ones keep them, so
+        # the block roots two polynomial lengths
+        geom = build_ula(9)
+        r = exact_covariance(SourceScene.unit_powers(THETAS5), geom, 1.0)
+        sampled = sampled_block(geom, THETAS5, 1, 200, 1.0, range(3))
+        covs = np.concatenate((sampled[:2], r[None], sampled[2:]))
+        t = _noise_polynomial(noise_subspace(population_smoothed(
+            geom, THETAS5, 1.0, 1).values, 5))
+        assert np.all(np.abs(t[-2:]) <= 1e-12 * np.abs(t).max())
+        self.assert_matches_chain(covs, geom, 5, 1, "vws-ca-rmusic")
+        population = _estimate_block(covs, geom, 5, 1)[0][2]
+        assert np.max(np.abs(population.thetas - np.array(THETAS5))) <= 1e-8
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_estimate_alike_in_any_block(self, method):
+        # 19 covariances, alone, in blocks of 8, 8 and 3, in odd splits
+        # and all in one: every estimate is the same to the bit
+        geom = build_mra(8)
+        covs = sampled_block(geom, THETAS5, 3, 100, 1.0, range(19))
+        alone = [estimate_doas(r, geom, 5, 3, method=method)[0]
+                 for r in covs]
+        for sizes in ([8, 8, 3], [1, 7, 11], [5, 9, 5], [19]):
+            ends = np.cumsum(sizes)
+            blocked = [res for start, end in zip(ends - sizes, ends)
+                       for res in _estimate_block(covs[start:end], geom, 5,
+                                                  3, method)[0]]
+            for one, res in zip(alone, blocked):
+                np.testing.assert_array_equal(res.thetas, one.thetas)
+                assert (res.fill_count, res.peaks_found) == (
+                    one.fill_count, one.peaks_found)

@@ -195,6 +195,27 @@ class TestRmseSweep:
         assert r1.rmse == r2.rmse == r3.rmse
         assert r1.fills == r2.fills == r3.fills
 
+    @pytest.mark.parametrize("method", ["vws-ca-music", "vws-ca-rmusic"])
+    def test_trial_alike_in_any_task(self, method):
+        # 19 trials, two blocks of 8 and one of 3 in one task, or split
+        # into tasks that cut blocks elsewhere: each trial's squared
+        # errors and fills are those it gets alone
+        cfg = make_cfg(method=method, trials=19, grid_size=600)
+        alone = [run_trial(cfg, 10.0, 1, ti) for ti in range(19)]
+        for sizes in ([19], [10, 9], [7, 7, 5], [3, 9, 1, 6]):
+            ends = np.cumsum(sizes)
+            rows = [row for start, end in zip(ends - sizes, ends)
+                    for row in montecarlo._run_trials(
+                        cfg, 10.0, 1, range(start, end))]
+            for (sq, fill, _), (sq1, fill1, _) in zip(rows, alone):
+                np.testing.assert_array_equal(sq, sq1)
+                assert fill == fill1
+        serial = rmse_sweep(cfg)
+        for workers in (2, 3):
+            parallel = rmse_sweep(cfg, workers=workers)
+            assert (parallel.rmse, parallel.fills) == (serial.rmse,
+                                                       serial.fills)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_workers_below_one(self, workers):
         with pytest.raises(ValueError, match="workers:"):
@@ -207,16 +228,17 @@ class TestRmseSweep:
             rmse_sweep(make_cfg(trials=2), workers=workers)
 
     def test_pool_capped_at_trials(self, monkeypatch, fresh_pool):
-        sizes, chunksizes = [], []
+        sizes, tasks = [], []
 
         class InProcessPool:
-            """Records its size and chunk sizes and maps in this process."""
+            """Records its size and the tasks of each map, and maps in this
+            process."""
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def map(self, fn, *iterables, chunksize=1):
-                chunksizes.append(chunksize)
-                return map(fn, *iterables)
+            def map(self, fn, runs):
+                tasks.append(list(runs))
+                return map(fn, tasks[-1])
 
             def shutdown(self):
                 pass
@@ -225,13 +247,16 @@ class TestRmseSweep:
                             InProcessPool)
         for trials, workers, size in ((4, 64, 4), (7, 3, 3), (7, 2.0, 2)):
             sizes.clear()
-            chunksizes.clear()
+            tasks.clear()
             cfg = make_cfg(trials=trials)
             capped = rmse_sweep(cfg, workers=workers)
             assert sizes == [size]
-            # one map per axis point, each of at most `size` tasks
-            assert len(chunksizes) == len(cfg.axis_values)
-            assert all(-(-trials // c) <= size for c in chunksizes)
+            # one map per axis point, each of at most `size` tasks that
+            # together run every trial once, in order
+            assert len(tasks) == len(cfg.axis_values)
+            assert all(len(runs) <= size for runs in tasks)
+            assert all([i for run in runs for i in run] == list(range(trials))
+                       for runs in tasks)
             assert capped.rmse == rmse_sweep(cfg, workers=1).rmse
 
     def test_one_pool_across_sweeps(self, monkeypatch, fresh_pool):
