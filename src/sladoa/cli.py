@@ -24,13 +24,15 @@ takes one geometry, one a and one axis value:
 
 ``estimate`` runs one ``estimate_trial``, the draw and estimate of a
 single Monte Carlo trial, seeded with ``seed``; ``--spectrum-out``
-writes the MUSIC pseudospectrum of the noise subspace that estimate
-carries.
+writes the MUSIC pseudospectrum of the noise subspace that
+``estimate_trial`` returns beside the estimate.
 
 ``sweep`` runs one ``rmse_sweep`` per feasible (geometry, a) pair and
 writes them with the library writers: ``--out`` through
 ``write_sweep_csv`` (no wall-clock column, so byte-identical for any
 ``--workers``) and ``<out>.config.json`` through ``write_sweep_json``.
+``--trials`` overrides the file's ``trials``; every other setting comes
+from the file.
 """
 
 import argparse
@@ -146,8 +148,8 @@ _KEYS = ("geometry", "thetas", "powers", "method", "a", "snapshots",
 
 def _read_runs(args, snr_default) -> list:
     """One unvalidated ExperimentConfig per (geometry, a) of the config
-    file, in file order; ``--seed``/``--grid``/``--trials`` override the
-    file.  Only token shape is checked here; value rules are
+    file, in file order; ``sweep --trials`` overrides the file's
+    ``trials``.  Only token shape is checked here; value rules are
     ``ExperimentConfig.validate``'s."""
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
@@ -171,18 +173,17 @@ def _read_runs(args, snr_default) -> list:
     else:
         axis, axis_values = "snr", snr_vals
 
-    def setting(key, default, flag):        # a command-line flag beats the file
-        return (flag if flag is not None
-                else _scalar(_ints(cfg, key, [default]), key))
+    def setting(key, default):
+        return _scalar(_ints(cfg, key, [default]), key)
 
+    trials = getattr(args, "trials", None)      # sweep's flag beats the file
     shared = dict(
         thetas=thetas, powers=_floats(cfg, "powers", [1.0] * len(thetas)),
         method=_scalar(cfg.get("method", ["vws-ca-rmusic"]), "method"),
         snapshots=snap_vals[0], snr_db=snr_vals[0], axis=axis,
         axis_values=tuple(float(v) for v in axis_values),
-        trials=setting("trials", 500, getattr(args, "trials", None)),
-        seed=setting("seed", 0, args.seed),
-        grid_size=setting("grid", 2000, args.grid))
+        trials=setting("trials", 500) if trials is None else trials,
+        seed=setting("seed", 0), grid_size=setting("grid", 2000))
     return [ExperimentConfig(geometry=geom, a=a, **shared)
             for geom in geometries for a in a_values]
 
@@ -194,7 +195,7 @@ def cmd_estimate(args) -> int:
                          "geometry, one a and one axis value")
     run = runs[0]
     run.validate()
-    result, _ = estimate_trial(run, run.axis_values[0], run.seed)
+    result, noise = estimate_trial(run, run.axis_values[0], run.seed)
 
     values = result.thetas
     if args.degrees:
@@ -204,7 +205,7 @@ def cmd_estimate(args) -> int:
     print(f"estimates ({unit}): " + " ".join(f"{v:.6f}" for v in values))
     print(f"method: {run.method}  fill_count: {result.fill_count}")
     if args.spectrum_out:
-        spectrum = music_spectrum(result.noise, default_grid(run.grid_size))
+        spectrum = music_spectrum(noise, default_grid(run.grid_size))
         save_spectrum_csv(spectrum, args.spectrum_out)
         print(f"spectrum written to {args.spectrum_out}")
     return 0
@@ -258,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("estimate", help="single-shot estimation from a config")
     e.add_argument("config")
-    e.add_argument("--seed", type=int, default=None)
-    e.add_argument("--grid", type=int, default=None)
     e.add_argument("--degrees", action="store_true",
                    help="print arcsin of the estimates, in degrees")
     e.add_argument("--spectrum-out", default=None,
@@ -269,9 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="Monte Carlo RMSE sweep from a config")
     s.add_argument("config")
     s.add_argument("--out", default="sweep.csv")
-    s.add_argument("--seed", type=int, default=None)
     s.add_argument("--trials", type=int, default=None)
-    s.add_argument("--grid", type=int, default=None)
     s.add_argument("--workers", type=int, default=1)
     s.set_defaults(func=cmd_sweep)
     return parser

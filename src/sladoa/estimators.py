@@ -15,15 +15,16 @@ complex companion matrix.
 ``_estimate_block`` runs the whole chain for a stack of covariances,
 each stage once for the stack up to the polynomial roots: one coarray
 sum, one smoothing product, one EVD and one companion EVD.  Peak
-picking and root ranking run per estimate.  ``estimate_doas`` is its
-block of one, and the public stage functions are the blocks of one of
-their stacked kernels, so an estimate is bit for bit the same alone or
-in any block.
+picking and root ranking run per estimate.  It returns the estimates
+beside the stack of noise subspaces they came from.  ``estimate_doas``
+is its block of one, and the public stage functions are the blocks of
+one of their stacked kernels, so an estimate is bit for bit the same
+alone or in any block.
 """
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -67,14 +68,12 @@ class EstimationResult:
 
     ``fill_count`` counts estimates not backed by a proper peak
     (MUSIC) or taken from outside the unit circle (root variant).
-    ``estimate_doas`` attaches the noise subspace U_N it estimated from.
     """
 
     thetas: np.ndarray
     peaks_found: int = 0
     fill_count: int = 0
     root_moduli: Optional[np.ndarray] = None
-    noise: Optional[np.ndarray] = None
 
 
 def default_grid(size: int = 2000) -> np.ndarray:
@@ -290,7 +289,11 @@ def _root_single_noise(u: np.ndarray) -> list[EstimationResult]:
 def _root_polynomials(t: np.ndarray, m: int, d: int
                       ) -> list[EstimationResult]:
     """``root_music`` of each row of a stack of noise polynomials of one
-    length, from windows of size m."""
+    length, from windows of size m; raises ValueError if d exceeds the
+    polynomials' root count."""
+    if d >= t.shape[-1]:
+        raise ValueError(f"d={d} exceeds the {t.shape[-1] - 1} roots of the "
+                         f"noise polynomial")
     if m > _CAYLEY_MAX_M:
         roots = _companion_roots(t.astype(complex))
         return [_pick(row, z, np.abs(z) >= 1.0, d)
@@ -334,29 +337,30 @@ def _estimate(z: np.ndarray, fill_count: int) -> EstimationResult:
 
 def estimate_doas(r: np.ndarray, geom: ArrayGeometry, d: int, a: int,
                   method: str = "vws-ca-rmusic",
-                  grid_size: int = 2000) -> tuple[EstimationResult, float]:
+                  grid_size: int = 2000
+                  ) -> tuple[EstimationResult, np.ndarray]:
     """Full pipeline from an N x N covariance to DOA estimates: the
     block of one of ``_estimate_block``, the one place that runs
     coarray, smoothing, EVD and estimator in sequence.
 
-    Returns the estimate, with the noise subspace U_N in ``noise``, and
-    the wall time of the subspace EVD step.  MUSIC searches
-    ``default_grid(grid_size)``.
+    Returns the estimate and the M x (M-d) noise subspace U_N it was
+    estimated from.  MUSIC searches ``default_grid(grid_size)``.
     """
     r = np.asarray(r)
     if r.shape != (geom.n, geom.n):             # a stack is no covariance
         raise ValueError("covariance dimension does not match geometry")
-    results, evd_time = _estimate_block(r[None], geom, d, a, method,
+    results, noise, _ = _estimate_block(r[None], geom, d, a, method,
                                         grid_size)
-    return results[0], evd_time
+    return results[0], noise[0]
 
 
 def _estimate_block(covs: np.ndarray, geom: ArrayGeometry, d: int, a: int,
                     method: str = "vws-ca-rmusic", grid_size: int = 2000
-                    ) -> tuple[list[EstimationResult], float]:
+                    ) -> tuple[list[EstimationResult], np.ndarray, float]:
     """``estimate_doas`` of each covariance of a (K, N, N) stack, each
-    stage run once for the stack; returns the K estimates, each with its
-    U_N in ``noise``, and the wall time of the block's EVD."""
+    stage run once for the stack; returns the K estimates, the
+    (K, M, M-d) stack of their noise subspaces U_N, and the wall time of
+    the block's EVD."""
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     sm = _smooth(coarray_signal(covs, geom), a)
@@ -369,7 +373,7 @@ def _estimate_block(covs: np.ndarray, geom: ArrayGeometry, d: int, a: int,
                    for t in _noise_polynomial(noise)]
     else:
         results = _root_music(noise, d)
-    return [replace(r, noise=u) for r, u in zip(results, noise)], evd_time
+    return results, noise, evd_time
 
 
 def save_spectrum_csv(s: Spectrum, path) -> None:

@@ -16,6 +16,7 @@ joined at interpreter exit.
 
 import csv
 import json
+import math
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -176,7 +177,7 @@ def _draw_covariance(cfg: ExperimentConfig, axis_value, seed) -> np.ndarray:
 def estimate_trial(cfg: ExperimentConfig, axis_value, seed):
     """Draw one snapshot set of ``cfg`` at ``axis_value`` from ``seed``
     and estimate from its sample covariance; returns what
-    ``estimate_doas`` returns, (EstimationResult, EVD wall time)."""
+    ``estimate_doas`` returns, (EstimationResult, noise subspace U_N)."""
     return estimate_doas(_draw_covariance(cfg, axis_value, seed),
                          cfg.geometry, len(cfg.thetas), cfg.a,
                          method=cfg.method, grid_size=cfg.grid_size)
@@ -210,8 +211,8 @@ def _run_trials(cfg: ExperimentConfig, axis_value, axis_index: int,
         covs = np.array([_draw_covariance(
             cfg, axis_value, trial_seed(cfg.seed, axis_index, ti))
             for ti in block])
-        results, evd_time = _estimate_block(covs, cfg.geometry, d, cfg.a,
-                                            cfg.method, cfg.grid_size)
+        results, _, evd_time = _estimate_block(covs, cfg.geometry, d, cfg.a,
+                                               cfg.method, cfg.grid_size)
         for result in results:
             err = result.thetas[shifts] - cfg.thetas
             err -= 2.0 * np.rint(err / 2.0)
@@ -327,12 +328,28 @@ def write_sweep_csv(results, path) -> None:
 def write_sweep_json(results, path) -> None:
     """JSON sidecar: one object per SweepResult, holding its ``config``
     echoed whole (each field once) and its ``rmse``, ``fills`` and
-    wall-clock ``mean_evd_time`` per axis point."""
+    wall-clock ``mean_evd_time`` per axis point.
+
+    Non-finite floats, such as a noiseless sweep's ``snr_db = inf``, are
+    written as strings in the CSV's spelling (``"inf"``), so the file is
+    strict RFC 8259 JSON."""
     payload = [{"config": config_echo(result.config),
                 "rmse": list(result.rmse),
                 "fills": list(result.fills),
                 "mean_evd_time": list(result.mean_evd_time)}
                for result in results]
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(_finite_json(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
+
+
+def _finite_json(value):
+    """``value`` with each non-finite float in its lists, tuples and
+    dicts replaced by its ``repr``: "inf", "-inf" or "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value

@@ -69,11 +69,15 @@ def steering_matrix(positions, thetas, sign: int = -1) -> np.ndarray:
     return np.exp(sign * 1j * np.pi * pos * th)
 
 
+def _check_noise_var(noise_var: float) -> None:
+    if not 0.0 <= noise_var < np.inf:           # NaN fails too
+        raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
+
+
 def exact_covariance(scene: SourceScene, geom: ArrayGeometry,
                      noise_var: float) -> np.ndarray:
     """Population covariance A diag(p) A^H + noise_var * I."""
-    if noise_var < 0:
-        raise ValueError("noise_var must be >= 0")
+    _check_noise_var(noise_var)
     a = steering_matrix(geom.positions, scene.thetas, sign=-1)
     r = (a * np.asarray(scene.powers)) @ a.conj().T
     r += noise_var * np.eye(geom.n)
@@ -91,8 +95,7 @@ def simulate_snapshots(scene: SourceScene, geom: ArrayGeometry, t: int,
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if noise_var < 0:
-        raise ValueError("noise_var must be >= 0")
+    _check_noise_var(noise_var)
     rng = np.random.default_rng(seed)
     d = scene.d
     s = (rng.standard_normal((d, t)) + 1j * rng.standard_normal((d, t)))

@@ -309,6 +309,15 @@ class TestRootMusic:
         with pytest.raises(ValueError):
             root_music(np.ones((1, 1)), 1)
 
+    def test_rejects_more_sources_than_roots(self):
+        # M = 3 with one noise vector: the noise polynomial has degree
+        # 4, so d = 4 takes every root and d = 5 or 6 has too few
+        u = np.array([[1.0], [0.5j], [0.25]])
+        assert root_music(u, 4).thetas.size == 4
+        for d in (5, 6):
+            with pytest.raises(ValueError, match=f"d={d} exceeds the 4 roots"):
+                root_music(u, d)
+
     def test_fills_from_outside_after_every_inside_root(self):
         # one noise vector u with sum_j conj(u_j) z^j = (z - r1)(z - r2):
         # the roots are r1 = 0.8 e^{j pi/4} and r2 = 0.5 e^{-j pi/2}, and
@@ -473,7 +482,7 @@ class TestBlockEngine:
 
     @staticmethod
     def assert_matches_chain(covs, geom, d, a, method, where=""):
-        results, _ = _estimate_block(covs, geom, d, a, method)
+        results, _, _ = _estimate_block(covs, geom, d, a, method)
         assert len(results) == len(covs)
         for k, (r, res) in enumerate(zip(covs, results)):
             ref = chained_estimate(r, geom, d, a, method)

@@ -121,6 +121,16 @@ class TestSimulateSnapshots:
         with pytest.raises(ValueError):
             simulate_snapshots(SourceScene((0.0,), (1.0,)), geom, 8, -1.0, seed=0)
 
+    @pytest.mark.parametrize("noise_var", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("model", [
+        lambda scene, geom, v: exact_covariance(scene, geom, v),
+        lambda scene, geom, v: simulate_snapshots(scene, geom, 8, v, seed=0),
+    ], ids=["exact_covariance", "simulate_snapshots"])
+    def test_rejects_non_finite_noise(self, model, noise_var):
+        # NaN would give an all-NaN array with no error, +inf overflow
+        with pytest.raises(ValueError, match=f"noise_var.*got {noise_var}"):
+            model(SourceScene((0.0,), (1.0,)), build_ula(4), noise_var)
+
     def test_sample_covariance_consistency(self):
         geom = build_ula(8)
         scene = SourceScene((0.3,), (1.0,))
