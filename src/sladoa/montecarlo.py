@@ -2,10 +2,11 @@
 
 Per-trial seeds derive from (master seed, axis index, trial index)
 through :class:`numpy.random.SeedSequence`, so results are identical
-for any execution order or worker count.  Each task draws its trials'
-covariances one by one and estimates them in blocks of up to
-``_BLOCK`` trials, each estimator stage one numpy call per block; a
-trial's estimate is bit for bit the same in any block.  Squared errors
+for any execution order or worker count.  Each task computes its axis
+point's snapshot factor once, draws its trials' covariances from it
+one by one, and estimates them in blocks of up to ``_BLOCK`` trials,
+each estimator stage one numpy call per block; a trial's draw and
+estimate are bit for bit the same in any block.  Squared errors
 are collected per trial and reduced in a fixed order, keeping the float
 summation deterministic under parallelism.
 
@@ -29,8 +30,9 @@ import numpy as np
 from .coarray import max_shrinkage
 from .estimators import _METHODS, _estimate_block, estimate_doas
 from .geometry import ArrayGeometry, difference_coarray
-from .signal_model import (SourceScene, sample_covariance,
-                           simulate_snapshots, snr_to_noise_var)
+from .signal_model import (SourceScene, _draw, _snapshot_factor,
+                           sample_covariance, simulate_snapshots,
+                           snr_to_noise_var)
 
 __all__ = [
     "ExperimentConfig",
@@ -163,23 +165,21 @@ def trial_seed(master: int, axis_index: int, trial_index: int):
     return np.random.SeedSequence([master, axis_index, trial_index])
 
 
-def _draw_covariance(cfg: ExperimentConfig, axis_value, seed) -> np.ndarray:
-    """The sample covariance of one snapshot set of ``cfg`` at
-    ``axis_value``, drawn from ``seed``."""
+def _axis_point(cfg: ExperimentConfig, axis_value):
+    """(snapshots, noise variance) of ``cfg`` at ``axis_value``."""
     if cfg.axis == "snr":
-        t, noise_var = cfg.snapshots, snr_to_noise_var(float(axis_value))
-    else:
-        t, noise_var = int(axis_value), snr_to_noise_var(cfg.snr_db)
-    return sample_covariance(
-        simulate_snapshots(cfg.scene, cfg.geometry, t, noise_var, seed))
+        return cfg.snapshots, snr_to_noise_var(float(axis_value))
+    return int(axis_value), snr_to_noise_var(cfg.snr_db)
 
 
 def estimate_trial(cfg: ExperimentConfig, axis_value, seed):
     """Draw one snapshot set of ``cfg`` at ``axis_value`` from ``seed``
     and estimate from its sample covariance; returns what
     ``estimate_doas`` returns, (EstimationResult, noise subspace U_N)."""
-    return estimate_doas(_draw_covariance(cfg, axis_value, seed),
-                         cfg.geometry, len(cfg.thetas), cfg.a,
+    t, noise_var = _axis_point(cfg, axis_value)
+    r = sample_covariance(
+        simulate_snapshots(cfg.scene, cfg.geometry, t, noise_var, seed))
+    return estimate_doas(r, cfg.geometry, len(cfg.thetas), cfg.a,
                          method=cfg.method, grid_size=cfg.grid_size)
 
 
@@ -194,8 +194,10 @@ def _run_trials(cfg: ExperimentConfig, axis_value, axis_index: int,
                 trial_indices):
     """(squared errors per source, fill count, EVD seconds) of each
     trial of ``trial_indices`` at one axis point, in order.  Trials are
-    drawn one by one from their own seeds and estimated in blocks of up
-    to ``_BLOCK``; each gets an equal share of its block's EVD time.
+    drawn one by one from their own seeds through one snapshot factor,
+    computed once per call, so each is what ``simulate_snapshots`` draws
+    from that seed.  They are estimated in blocks of up to ``_BLOCK``;
+    each gets an equal share of its block's EVD time.
 
     Errors are scored on the circle θ ≡ θ + 2: the sorted estimates are
     paired with the sorted thetas by the cyclic shift with the least sum
@@ -205,11 +207,13 @@ def _run_trials(cfg: ExperimentConfig, axis_value, axis_index: int,
     """
     d = len(cfg.thetas)
     shifts = (np.arange(d)[:, None] + np.arange(d)) % d    # row s: shift s
+    t, noise_var = _axis_point(cfg, axis_value)
+    factor = _snapshot_factor(cfg.scene, cfg.geometry, noise_var)
     rows = []
     for start in range(0, len(trial_indices), _BLOCK):
         block = trial_indices[start:start + _BLOCK]
-        covs = np.array([_draw_covariance(
-            cfg, axis_value, trial_seed(cfg.seed, axis_index, ti))
+        covs = np.array([sample_covariance(_draw(
+            factor, t, trial_seed(cfg.seed, axis_index, ti)))
             for ti in block])
         results, _, evd_time = _estimate_block(covs, cfg.geometry, d, cfg.a,
                                                cfg.method, cfg.grid_size)

@@ -1,10 +1,13 @@
 """Synthetic far-field narrowband snapshot model.
 
 Directions are parameterized throughout as theta = sin(DOA) in [-1, 1).
-Source and noise samples are circular complex Gaussian, drawn as
-(g1 + j*g2)/sqrt(2) with independent standard normals, so each complex
-entry has unit variance.  SNR convention: unit source powers with noise
-variance 10**(-snr_db/10); +inf dB is noiseless.
+Sources and noise are uncorrelated circular complex Gaussian, so each
+snapshot x = A s + n is CN(0, R) with R = A diag(p) A^H + noise_var * I.
+It is drawn as x = L g: L is an N x N lower-triangular factor with
+L L^H = R, and g holds N circular complex normals of unit variance,
+each (g1 + j*g2)/sqrt(2) with independent standard normals.  SNR
+convention: unit source powers with noise variance 10**(-snr_db/10);
++inf dB is noiseless.
 """
 
 from dataclasses import dataclass
@@ -86,24 +89,43 @@ def exact_covariance(scene: SourceScene, geom: ArrayGeometry,
 
 def simulate_snapshots(scene: SourceScene, geom: ArrayGeometry, t: int,
                        noise_var: float, seed) -> np.ndarray:
-    """Draw T iid snapshots x(t) = A s(t) + n(t) as an N x T complex
-    array (sensors by time).
+    """Draw T iid snapshots x(t) ~ CN(0, R), the law of A s(t) + n(t),
+    as an N x T complex array (sensors by time).
 
-    The draw order is fixed (all source samples, then all noise
-    samples), so output is bit-reproducible for a given seed.  ``seed``
-    is anything accepted by :func:`numpy.random.default_rng`.
+    x = L g from the triangular factor of ``_snapshot_factor``: 2*N*T
+    standard normals, drawn in one call in the order (sensor, time,
+    real/imaginary part), so output is bit-reproducible for a given
+    seed.  ``seed`` is anything accepted by
+    :func:`numpy.random.default_rng`.
     """
+    return _draw(_snapshot_factor(scene, geom, noise_var), t, seed)
+
+
+def _snapshot_factor(scene: SourceScene, geom: ArrayGeometry,
+                     noise_var: float) -> np.ndarray:
+    """N x N lower-triangular L with 2 L L^H = R: the factor of R with
+    the 1/sqrt(2) of a circular normal folded in.
+
+    L^H is the triangular factor of one QR of F^H, where
+    F = [A diag(sqrt(p / 2)), sqrt(noise_var / 2) I] and so 2 F F^H = R.
+    Unlike a Cholesky of R, the QR never squares the condition number:
+    it holds at any SNR, and at noise_var = 0, where L has rank D.
+    """
+    _check_noise_var(noise_var)
+    a = steering_matrix(geom.positions, scene.thetas, sign=-1)
+    f = np.hstack([a * np.sqrt(np.asarray(scene.powers) / 2.0),
+                   np.sqrt(noise_var / 2.0) * np.eye(geom.n)])
+    return np.linalg.qr(f.conj().T, mode="r").conj().T
+
+
+def _draw(factor: np.ndarray, t: int, seed) -> np.ndarray:
+    """``factor`` @ g for an N x T array g of complex normals drawn from
+    ``seed``; see ``simulate_snapshots``."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    _check_noise_var(noise_var)
-    rng = np.random.default_rng(seed)
-    d = scene.d
-    s = (rng.standard_normal((d, t)) + 1j * rng.standard_normal((d, t)))
-    s *= np.sqrt(np.asarray(scene.powers) / 2.0)[:, None]
-    n = (rng.standard_normal((geom.n, t)) + 1j * rng.standard_normal((geom.n, t)))
-    n *= np.sqrt(noise_var / 2.0)
-    a = steering_matrix(geom.positions, scene.thetas, sign=-1)
-    return a @ s + n
+    n = factor.shape[0]
+    g = np.random.default_rng(seed).standard_normal((n, t, 2))
+    return factor @ g.view(np.complex128).reshape(n, t)
 
 
 def sample_covariance(x) -> np.ndarray:

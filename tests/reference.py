@@ -25,6 +25,23 @@ BUILDER_GEOMETRIES = ([build_ula(n) for n in range(2, 11)]
                          build_super_nested(5, 4), build_super_nested(6, 3)])
 
 
+def reference_snapshots(scene: SourceScene, geom: ArrayGeometry, t: int,
+                        noise_var: float, seed) -> np.ndarray:
+    """T snapshots x = A s + n drawn term by term: the D x T source
+    samples scaled by sqrt(p), then the N x T noise samples scaled by
+    sqrt(noise_var), each entry (g1 + j*g2)/sqrt(2) from 2(D + N)T
+    standard normals.  The package's draw from one triangular factor of
+    R must have the same law."""
+    rng = np.random.default_rng(seed)
+    d = scene.d
+    s = rng.standard_normal((d, t)) + 1j * rng.standard_normal((d, t))
+    s *= np.sqrt(np.asarray(scene.powers) / 2.0)[:, None]
+    n = rng.standard_normal((geom.n, t)) + 1j * rng.standard_normal((geom.n, t))
+    n *= np.sqrt(noise_var / 2.0)
+    a = steering_matrix(geom.positions, scene.thetas, sign=-1)
+    return a @ s + n
+
+
 @dataclass(frozen=True)
 class OracleDecomposition:
     """Population-level split of the smoothed matrix into

@@ -57,9 +57,9 @@ seed = 5
 # ``estimate``'s stdout for ESTIMATE_CFG, pinned so that any change to how
 # the config is read and the snapshots are drawn shows up here.
 ESTIMATE_GOLDEN = {
-    "vws-ca-rmusic": "estimates (sine units): -0.797964 -0.001251 0.799083\n"
+    "vws-ca-rmusic": "estimates (sine units): -0.800265 0.002603 0.797671\n"
                      "method: vws-ca-rmusic  fill_count: 0\n",
-    "vws-ca-music": "estimates (sine units): -0.798000 -0.001000 0.799000\n"
+    "vws-ca-music": "estimates (sine units): -0.800000 0.003000 0.798000\n"
                     "method: vws-ca-music  fill_count: 0\n",
 }
 

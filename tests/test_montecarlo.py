@@ -14,12 +14,16 @@ import numpy as np
 import pytest
 
 from sladoa import montecarlo
-from sladoa.geometry import build_mra, build_nested
+from sladoa.estimators import estimate_doas
+from sladoa.geometry import build_mra, build_nested, build_super_nested
 from sladoa.montecarlo import (ExperimentConfig, estimate_trial, rmse_sweep,
                                run_trial, trial_seed, write_sweep_csv,
                                write_sweep_json)
+from sladoa.signal_model import (sample_covariance, simulate_snapshots,
+                                 snr_to_noise_var)
 
 THETAS3 = (-0.8, 0.0, 0.8)
+THETAS5 = (-0.8, -0.4, 0.0, 0.4, 0.8)
 
 
 def make_cfg(**kw):
@@ -138,6 +142,39 @@ class TestRunTrial:
         np.testing.assert_array_equal(sq, err * err)
         assert fills == result.fill_count
         assert noise.shape == (17, 14)          # M = 20 - a, M - d
+        # On the sweeps of the benchmark's three workloads, every trial
+        # that ``_run_trials`` draws from its once-computed snapshot
+        # factor, in a block of 8 and a block of 2, is bit for bit the
+        # public chain from ``simulate_snapshots`` with the trial's seed.
+        nested, snaq2 = build_nested(4, 4), build_super_nested(4, 4)
+        sweeps = [make_cfg(geometry=g, a=a, snapshots=1000,
+                           axis_values=(0.0, 5.0, 10.0))
+                  for g, a in ((nested, 0), (nested, 3), (snaq2, 0),
+                               (snaq2, 3), (build_mra(10), 0))]
+        sweeps += [make_cfg(geometry=g, thetas=THETAS5, a=3,
+                            method="vws-ca-music", snapshots=1000,
+                            axis_values=(10.0, 15.0, 20.0), grid_size=2000)
+                   for g in (nested, snaq2, build_mra(8))]
+        sweeps.append(make_cfg(axis="snapshots", snr_db=10.0,
+                               axis_values=(100, 300, 1000, 3000)))
+        for cfg in sweeps:
+            d = len(cfg.thetas)
+            for ai, av in enumerate(cfg.axis_values):
+                t, snr_db = ((cfg.snapshots, av) if cfg.axis == "snr"
+                             else (int(av), cfg.snr_db))
+                rows = montecarlo._run_trials(cfg, av, ai, range(10))
+                for ti, (sq, fills, _) in enumerate(rows):
+                    x = simulate_snapshots(cfg.scene, cfg.geometry, t,
+                                           snr_to_noise_var(snr_db),
+                                           trial_seed(cfg.seed, ai, ti))
+                    result, _ = estimate_doas(
+                        sample_covariance(x), cfg.geometry, d, cfg.a,
+                        method=cfg.method, grid_size=cfg.grid_size)
+                    err = result.thetas - np.asarray(cfg.thetas)
+                    np.testing.assert_array_equal(
+                        sq, err * err, err_msg=f"{cfg.geometry.name}, "
+                        f"a={cfg.a}, {cfg.axis}={av}, trial {ti}")
+                    assert fills == result.fill_count
 
     def test_errors_wrap_at_endfire(self):
         # theta = -1 and +1 are one direction; an estimate of the endfire

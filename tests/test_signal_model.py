@@ -6,10 +6,34 @@ import math
 import numpy as np
 import pytest
 
-from sladoa.geometry import ArrayGeometry, build_nested, build_ula
+from reference import reference_snapshots
+from sladoa.geometry import ArrayGeometry, build_mra, build_nested, build_ula
 from sladoa.signal_model import (SourceScene, exact_covariance,
                                  sample_covariance, simulate_snapshots,
                                  snr_to_noise_var, steering_matrix)
+
+THETAS5 = (-0.8, -0.4, 0.0, 0.4, 0.8)
+# Two scenes on 8 sensors: three unit sources, and five of unequal power.
+LAW_SCENES = {
+    "nested(4,4)": (build_nested(4, 4),
+                    SourceScene.unit_powers((-0.5, 0.1, 0.7))),
+    "mra(8)": (build_mra(8), SourceScene(THETAS5, (1.0, 4.0, 0.25, 1.0, 2.0))),
+}
+
+
+def ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: sup |F_a - F_b| over the
+    empirical distribution functions of samples a and b."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    return float(np.abs(np.searchsorted(a, x, side="right") / a.size
+                        - np.searchsorted(b, x, side="right") / b.size).max())
+
+
+def ks_critical(n: int, m: int, alpha: float) -> float:
+    """Asymptotic critical value of the two-sample KS statistic at level
+    alpha: sqrt(-ln(alpha / 2) / 2) * sqrt((n + m) / (n m))."""
+    return math.sqrt(-math.log(alpha / 2.0) / 2.0 * (n + m) / (n * m))
 
 
 class TestSourceScene:
@@ -131,6 +155,30 @@ class TestSimulateSnapshots:
         with pytest.raises(ValueError, match=f"noise_var.*got {noise_var}"):
             model(SourceScene((0.0,), (1.0,)), build_ula(4), noise_var)
 
+    def test_draws_two_normals_per_sensor_and_snapshot(self):
+        geom, scene = LAW_SCENES["mra(8)"]
+        rng = np.random.default_rng(4)
+        simulate_snapshots(scene, geom, 37, 0.1, seed=rng)
+        expected = np.random.default_rng(4)
+        expected.standard_normal(2 * geom.n * 37)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("scene_name, noise_var", [
+        ("nested(4,4)", 0.0), ("nested(4,4)", snr_to_noise_var(150.0)),
+        ("nested(4,4)", snr_to_noise_var(300.0)), ("mra(8)", 0.5),
+    ], ids=["noiseless", "150dB", "300dB", "non-unit-powers"])
+    def test_finite_and_consistent_at_any_snr(self, scene_name, noise_var):
+        # at 300 dB, R is singular to working precision and a Cholesky
+        # of it fails; at noise_var = 0 it has rank D
+        geom, scene = LAW_SCENES[scene_name]
+        for t in (3, geom.n, 100_000):                  # T < N, T = N, T >> N
+            snaps = simulate_snapshots(scene, geom, t, noise_var, seed=t)
+            assert snaps.shape == (geom.n, t)
+            assert np.all(np.isfinite(snaps))
+        r = exact_covariance(scene, geom, noise_var)
+        rel = np.linalg.norm(sample_covariance(snaps) - r) / np.linalg.norm(r)
+        assert rel < 0.05
+
     def test_sample_covariance_consistency(self):
         geom = build_ula(8)
         scene = SourceScene((0.3,), (1.0,))
@@ -139,6 +187,45 @@ class TestSimulateSnapshots:
         r = exact_covariance(scene, geom, 1.0)
         rel = np.linalg.norm(rhat - r) / np.linalg.norm(r)
         assert rel < 0.05
+
+
+class TestSnapshotLaw:
+    """The draw against ``reference_snapshots``, which forms A s + n term
+    by term: both must be CN(0, R)."""
+
+    SEEDS = 400
+
+    @pytest.mark.parametrize("t", [4, "N", 1000])
+    @pytest.mark.parametrize("scene_name", sorted(LAW_SCENES))
+    def test_matches_reference_law(self, scene_name, t):
+        geom, scene = LAW_SCENES[scene_name]
+        t = geom.n if t == "N" else t
+        noise_var = 0.1
+        # the two draws take disjoint seeds, so the samples compared are
+        # independent
+        drawn = np.array([sample_covariance(simulate_snapshots(
+            scene, geom, t, noise_var, seed=[0, i]))
+            for i in range(self.SEEDS)])
+        oracle = np.array([sample_covariance(reference_snapshots(
+            scene, geom, t, noise_var, seed=[1, i]))
+            for i in range(self.SEEDS)])
+        # R-hat has rank min(T, N): its smallest eigenvalue is the
+        # smallest of those, the rest are zero
+        lowest = geom.n - min(t, geom.n)
+        lam, lam_oracle = np.linalg.eigvalsh(drawn), np.linalg.eigvalsh(oracle)
+        critical = ks_critical(self.SEEDS, self.SEEDS, alpha=1e-3)
+        for col in (-1, lowest):
+            stat = ks_statistic(lam[:, col], lam_oracle[:, col])
+            assert stat < critical, (col, stat, critical)
+        # the mean of R-hat is R, entry by entry, within 4 standard
+        # errors; the floor admits rounding in the diagonal's imaginary
+        # parts, which are zero
+        r = exact_covariance(scene, geom, noise_var)
+        for part in (np.real, np.imag):
+            values = part(drawn)
+            se = values.std(axis=0, ddof=1) / math.sqrt(self.SEEDS)
+            dev = np.abs(values.mean(axis=0) - part(r))
+            assert np.all(dev <= 4.0 * se + 1e-12), (dev / (se + 1e-300)).max()
 
 
 class TestSampleCovariance:
