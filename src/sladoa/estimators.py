@@ -14,12 +14,12 @@ complex companion matrix.
 
 ``_estimate_block`` runs the whole chain for a stack of covariances,
 each stage once for the stack up to the polynomial roots: one coarray
-sum, one smoothing product, one EVD and one companion EVD.  Peak
-picking and root ranking run per estimate.  It returns the estimates
-beside the stack of noise subspaces they came from.  ``estimate_doas``
-is its block of one, and the public stage functions are the blocks of
-one of their stacked kernels, so an estimate is bit for bit the same
-alone or in any block.
+sum, one smoothing product, one EVD, then one FFT and one peak pick, or
+one companion EVD.  Root ranking runs per estimate.  It returns the
+estimates beside the stack of noise subspaces they came from.
+``estimate_doas`` is its block of one, and the public stage functions
+are the blocks of one of their stacked kernels, so an estimate is bit
+for bit the same alone or in any block.
 """
 
 import math
@@ -120,19 +120,31 @@ def _noise_polynomial(noise: np.ndarray) -> np.ndarray:
 
 def _circle_values(t: np.ndarray, size: int) -> np.ndarray:
     """p(z) = sum_k t_k z^k, k = -L..L, at z = -exp(2*pi*i*j/size) for
-    j = 0..size-1: Re sum_k (-1)^k t_k exp(2*pi*i*k*j/size), an inverse
-    DFT of length ``size`` once k is folded mod size.  A stack of rows
-    t gives a row of values each."""
-    k = np.arange(t.shape[-1]) - t.shape[-1] // 2
-    w = np.zeros(t.shape[:-1] + (size,), dtype=complex)
-    np.add.at(w, (..., k % size), np.where(k % 2, -t, t))
-    return np.fft.ifft(w, norm="forward").real
+    j = 0..size-1: sum_k (-1)^k t_k exp(2*pi*i*k*j/size), an inverse DFT
+    of length ``size`` once k is folded mod size.  t is
+    conjugate-symmetric, t_{-k} = conj(t_k), so the values are real and
+    one half-length real transform of the size // 2 + 1 non-negative
+    bins gives them.  Those bins hold lags 0..L as they are when
+    ``size`` >= 2L + 1; coarser grids fold every lag mod size first.  A
+    stack of rows t gives a row of values each."""
+    lag = t.shape[-1] // 2
+    if size >= t.shape[-1]:
+        c = np.zeros(t.shape[:-1] + (size // 2 + 1,), dtype=complex)
+        c[..., :lag + 1] = t[..., lag:]
+        c[..., 1:lag + 1:2] *= -1
+    else:
+        k = np.arange(t.shape[-1]) - lag
+        c = np.zeros(t.shape[:-1] + (size,), dtype=complex)
+        np.add.at(c, (..., k % size), np.where(k % 2, -t, t))
+        c = c[..., :size // 2 + 1]
+    return np.fft.irfft(c, size, norm="forward")
 
 
 def _grid_spectrum(t: np.ndarray, grid: np.ndarray) -> Spectrum:
     """``music_spectrum`` on ``grid = default_grid(K)`` from the noise
     polynomial t of U_N: at theta_j = -1 + 2j/K, exp(j*pi*theta_j) =
-    -exp(2*pi*i*j/K), so the denominators are ``_circle_values`` of t."""
+    -exp(2*pi*i*j/K), so the denominators are ``_circle_values`` of t.
+    A stack of rows t gives a row of values each."""
     denom = _circle_values(t, grid.size)
     return Spectrum(grid, 1.0 / np.maximum(denom, _DENOM_FLOOR))
 
@@ -146,24 +158,39 @@ def pick_peaks(s: Spectrum, d: int) -> EstimationResult:
     ``fill_count``.  A spectrum with fewer than d points raises
     ValueError.
     """
+    return _pick_peaks(Spectrum(s.grid, s.values[None]), d)[0]
+
+
+def _pick_peaks(s: Spectrum, d: int) -> list[EstimationResult]:
+    """``pick_peaks`` of each row of a (K, G) stack of spectra on one
+    grid.  The maxima of every row are ranked by one sort over (row,
+    -value, angle); only a row with fewer than d of them sorts its other
+    points."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    v = s.values
-    if v.size < d:
-        raise ValueError(f"spectrum has {v.size} points, fewer than d={d}")
-    padded = np.concatenate(([-np.inf], v, [-np.inf]))
-    is_max = (v > padded[:-2]) & (v > padded[2:])
-
-    def ranked(idx):                        # largest first, then smaller angle
-        return idx[np.lexsort((s.grid[idx], -v[idx]))]
-
-    peak_idx = np.flatnonzero(is_max)
-    chosen = ranked(peak_idx)[:d]
-    fill = d - chosen.size
-    if fill:                                # sort the non-peak rest only here
-        chosen = np.concatenate((chosen, ranked(np.flatnonzero(~is_max))[:fill]))
-    return EstimationResult(thetas=np.sort(s.grid[chosen]),
-                            peaks_found=peak_idx.size, fill_count=fill)
+    v, grid = s.values, s.grid
+    if v.shape[-1] < d:
+        raise ValueError(f"spectrum has {v.shape[-1]} points, fewer than "
+                         f"d={d}")
+    padded = np.full((len(v), v.shape[-1] + 2), -np.inf)
+    padded[:, 1:-1] = v
+    is_max = (v > padded[:, :-2]) & (v > padded[:, 2:])
+    flat = np.flatnonzero(is_max)
+    rows, idx = np.divmod(flat, v.shape[-1])
+    idx = idx[np.lexsort((grid[idx], -v.ravel()[flat], rows))]
+    bounds = np.searchsorted(rows, np.arange(len(v) + 1)).tolist()
+    results = []
+    for k, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        chosen = idx[start:min(end, start + d)]
+        fill = d - chosen.size
+        if fill:                            # sort the non-peak rest only here
+            rest = np.flatnonzero(~is_max[k])
+            rest = rest[np.lexsort((grid[rest], -v[k, rest]))]
+            chosen = np.concatenate((chosen, rest[:fill]))
+        results.append(EstimationResult(thetas=np.sort(grid[chosen]),
+                                        peaks_found=end - start,
+                                        fill_count=fill))
+    return results
 
 
 @lru_cache(maxsize=64)
@@ -368,9 +395,8 @@ def _estimate_block(covs: np.ndarray, geom: ArrayGeometry, d: int, a: int,
     noise = noise_subspace(sm, d)
     evd_time = time.perf_counter() - t0
     if method == "vws-ca-music":
-        grid = default_grid(grid_size)
-        results = [pick_peaks(_grid_spectrum(t, grid), d)
-                   for t in _noise_polynomial(noise)]
+        results = _pick_peaks(_grid_spectrum(_noise_polynomial(noise),
+                                             default_grid(grid_size)), d)
     else:
         results = _root_music(noise, d)
     return results, noise, evd_time

@@ -12,15 +12,16 @@ summation deterministic under parallelism.
 
 Parallel sweeps share one process pool for the life of the process: it
 is forked at the first sweep with ``workers > 1`` and its workers are
-joined at interpreter exit.
+joined at interpreter exit.  The pool stack (``concurrent.futures``,
+``multiprocessing``) is imported with the pool, and ``csv`` and
+``json`` with the writers that use them.
 """
 
-import csv
-import json
+# Serial sweeps and ``sladoa estimate`` never use the pool stack or the
+# writers' modules, and loading them costs about 20 ms in every fresh
+# interpreter, so each is imported where it is used.
 import math
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from functools import partial
 from numbers import Real
@@ -217,12 +218,12 @@ def _run_trials(cfg: ExperimentConfig, axis_value, axis_index: int,
             for ti in block])
         results, _, evd_time = _estimate_block(covs, cfg.geometry, d, cfg.a,
                                                cfg.method, cfg.grid_size)
-        for result in results:
-            err = result.thetas[shifts] - cfg.thetas
-            err -= 2.0 * np.rint(err / 2.0)
-            sq = err * err
-            rows.append((sq[sq.sum(axis=1).argmin()], result.fill_count,
-                         evd_time / len(block)))
+        err = np.array([r.thetas for r in results])[:, shifts] - cfg.thetas
+        err -= 2.0 * np.rint(err / 2.0)
+        sq = err * err
+        best = sq[np.arange(len(block)), sq.sum(axis=-1).argmin(axis=-1)]
+        rows.extend((row, r.fill_count, evd_time / len(block))
+                    for row, r in zip(best, results))
     return rows
 
 
@@ -243,6 +244,7 @@ def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     workers = min(int(workers), cfg.trials)
     if workers == 1:
         return _sweep(cfg, 1, map)
+    from concurrent.futures.process import BrokenProcessPool
     with _pool_lock:                    # one sweep at a time owns the pool
         for retry in (False, True):
             try:
@@ -280,14 +282,15 @@ _pool = None
 _pool_lock = threading.Lock()
 
 
-def _shared_pool(size: int) -> ProcessPoolExecutor:
-    """The process's pool of ``size`` workers, created at first use.  A
-    pool of another size is shut down first: at most one pool is alive,
-    so no fork runs beside another pool's threads."""
+def _shared_pool(size: int):
+    """The process's ``ProcessPoolExecutor`` of ``size`` workers, created
+    at first use.  A pool of another size is shut down first: at most one
+    pool is alive, so no fork runs beside another pool's threads."""
     global _pool
     if _pool is not None and _pool[0] != size:
         _drop_pool()
     if _pool is None:
+        from concurrent.futures import ProcessPoolExecutor
         _pool = (size, ProcessPoolExecutor(max_workers=size))
     return _pool[1]
 
@@ -317,6 +320,7 @@ def write_sweep_csv(results, path) -> None:
     Floats are written with ``repr`` and no wall-clock column is
     written, so the file is byte-identical for any worker count.
     """
+    import csv
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["geometry", "method", "a", "axis_value", "rmse",
@@ -337,6 +341,7 @@ def write_sweep_json(results, path) -> None:
     Non-finite floats, such as a noiseless sweep's ``snr_db = inf``, are
     written as strings in the CSV's spelling (``"inf"``), so the file is
     strict RFC 8259 JSON."""
+    import json
     payload = [{"config": config_echo(result.config),
                 "rmse": list(result.rmse),
                 "fills": list(result.fills),

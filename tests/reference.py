@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sladoa.coarray import coarray_signal, vws_smooth
-from sladoa.estimators import (EstimationResult, _noise_polynomial,
+from sladoa.estimators import (EstimationResult, Spectrum, _noise_polynomial,
                                default_grid, music_spectrum, pick_peaks,
                                root_music)
 from sladoa.geometry import (ArrayGeometry, Coarray, build_mra, build_nested,
@@ -131,6 +131,26 @@ def companion_root_music(noise: np.ndarray, d: int) -> EstimationResult:
     return EstimationResult(thetas=thetas[order],
                             fill_count=int(np.count_nonzero(outside[picked])),
                             root_moduli=moduli[picked][order])
+
+
+def reference_pick_peaks(s: Spectrum, d: int) -> EstimationResult:
+    """The d largest local maxima of one spectrum, by strict comparison
+    with -inf beyond both ends, ranked by value and then by the smaller
+    angle; a shortfall is filled from the other points in the same
+    order.  The package's stacked picker must reproduce it row by row."""
+    v = s.values
+    padded = np.concatenate(([-np.inf], v, [-np.inf]))
+    is_max = (v > padded[:-2]) & (v > padded[2:])
+
+    def ranked(idx):
+        return idx[np.lexsort((s.grid[idx], -v[idx]))]
+
+    peak_idx = np.flatnonzero(is_max)
+    chosen = ranked(peak_idx)[:d]
+    fill = d - chosen.size
+    chosen = np.concatenate((chosen, ranked(np.flatnonzero(~is_max))[:fill]))
+    return EstimationResult(thetas=np.sort(s.grid[chosen]),
+                            peaks_found=peak_idx.size, fill_count=fill)
 
 
 def chained_estimate(r: np.ndarray, geom: ArrayGeometry, d: int, a: int,

@@ -9,16 +9,16 @@ import pytest
 from sladoa.coarray import (coarray_signal, difference_coarray,
                             max_shrinkage, vws_smooth)
 from sladoa.estimators import (Spectrum, _estimate_block, _grid_spectrum,
-                               _noise_polynomial, default_grid, estimate_doas,
-                               music_spectrum, noise_subspace, pick_peaks,
-                               root_music, save_spectrum_csv)
+                               _noise_polynomial, _pick_peaks, default_grid,
+                               estimate_doas, music_spectrum, noise_subspace,
+                               pick_peaks, root_music, save_spectrum_csv)
 from sladoa.geometry import build_mra, build_nested, build_super_nested, build_ula
 from sladoa.signal_model import (SourceScene, exact_covariance,
                                  sample_covariance, simulate_snapshots,
                                  steering_matrix)
 
 from reference import (BUILDER_GEOMETRIES, chained_estimate,
-                       companion_root_music)
+                       companion_root_music, reference_pick_peaks)
 
 THETAS3 = (-0.8, 0.0, 0.8)
 THETAS5 = (-0.8, -0.4, 0.0, 0.4, 0.8)
@@ -218,6 +218,30 @@ class TestPickPeaks:
         grid = default_grid(2)
         with pytest.raises(ValueError, match="fewer than d=3"):
             pick_peaks(Spectrum(grid, np.array([1.0, 2.0])), 3)
+
+    def test_block_rows_match_single_spectra(self):
+        # rows: an ordinary spectrum with many maxima, a monotone one
+        # (one maximum, two fills), a plateau beside one peak (the strict
+        # comparisons see no maximum on it), four equal-height peaks, and
+        # a flat one with no maximum at all
+        grid = default_grid(100)
+        v = np.ones((5, 100))
+        v[0] = np.random.default_rng(3).random(100)
+        v[1] = np.linspace(1.0, 2.0, 100)
+        v[2, 40:43], v[2, 70] = 4.0, 6.0
+        v[3, [10, 30, 60, 80]] = 5.0
+        block = _pick_peaks(Spectrum(grid, v), 3)
+        assert len(block) == len(v)
+        for row, res in zip(v, block):
+            for ref in (pick_peaks(Spectrum(grid, row), 3),
+                        reference_pick_peaks(Spectrum(grid, row), 3)):
+                np.testing.assert_array_equal(res.thetas, ref.thetas)
+                assert (res.peaks_found, res.fill_count) == (
+                    ref.peaks_found, ref.fill_count)
+        assert [(r.peaks_found, r.fill_count) for r in block[1:]] == [
+            (1, 2), (1, 2), (4, 0), (0, 3)]
+        np.testing.assert_array_equal(block[2].thetas, grid[[40, 41, 70]])
+        np.testing.assert_array_equal(block[3].thetas, grid[[10, 30, 60]])
 
 
 @pytest.mark.filterwarnings("error")

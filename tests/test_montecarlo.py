@@ -8,6 +8,7 @@ import json
 import math
 import os
 import signal
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -281,7 +282,7 @@ class TestRmseSweep:
             def shutdown(self):
                 pass
 
-        monkeypatch.setattr("sladoa.montecarlo.ProcessPoolExecutor",
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             InProcessPool)
         for trials, workers, size in ((4, 64, 4), (7, 3, 3), (7, 2.0, 2)):
             sizes.clear()
@@ -300,12 +301,12 @@ class TestRmseSweep:
     def test_one_pool_across_sweeps(self, monkeypatch, fresh_pool):
         built = []
 
-        class CountedPool(montecarlo.ProcessPoolExecutor):
+        class CountedPool(ProcessPoolExecutor):
             def __init__(self, max_workers):
                 built.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr("sladoa.montecarlo.ProcessPoolExecutor",
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             CountedPool)
         results = [rmse_sweep(make_cfg(trials=4, seed=s), workers=2)
                    for s in (1, 2, 3)]

@@ -1,9 +1,13 @@
-"""Package surface: every public name is re-exported by ``sladoa``, and
-no module or test file imports a name it never uses."""
+"""Package surface: every public name is re-exported by ``sladoa``, no
+module or test file imports a name it never uses, and importing the
+package leaves the process-pool stack and the writers' modules
+unloaded."""
 
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +40,46 @@ def test_no_unused_module_imports(path):
     unused = sorted(imported - used)
     assert not unused, f"{path.name}: unused imports {unused}"
 
+
+# Modules that only a parallel sweep or a sweep writer uses.
+_DEFERRED = ("concurrent.futures", "multiprocessing", "json", "csv")
+
+_IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy
+
+def deferred():
+    return sorted(m for m in sys.modules for d in {deferred!r}
+                  if m == d or m.startswith(d + "."))
+
+before = set(deferred())
+import sladoa, sladoa.cli
+print(" ".join(sorted(set(deferred()) - before)))
+cfg = sladoa.ExperimentConfig(
+    geometry=sladoa.build_nested(2, 2), thetas=(-0.3, 0.4),
+    method="vws-ca-rmusic", a=0, snapshots=100, snr_db=10.0, axis="snr",
+    axis_values=(0.0, 10.0), trials=4, seed=5)
+serial = sladoa.rmse_sweep(cfg)
+print(" ".join(sorted(set(deferred()) - before)))
+parallel = sladoa.rmse_sweep(cfg, workers=2)
+print("concurrent.futures.process" in sys.modules)
+print((parallel.rmse, parallel.fills) == (serial.rmse, serial.fills))
+""".format(deferred=_DEFERRED)
+
+
+def test_import_defers_pool_stack_and_writers():
+    # a fresh interpreter, so modules that this session's tests loaded
+    # do not hide what importing the package loads
+    src = str(Path(sladoa.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    on_import, after_serial, pool_loaded, equal = proc.stdout.split("\n")[:4]
+    assert on_import == "", f"import sladoa loads {on_import}"
+    assert after_serial == "", f"a serial sweep loads {after_serial}"
+    assert pool_loaded == "True"
+    assert equal == "True"
 
 
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench")
