@@ -24,8 +24,8 @@ takes one geometry, one a and one axis value:
 
 ``estimate`` runs one ``estimate_trial``, the draw and estimate of a
 single Monte Carlo trial, seeded with ``seed``; ``--spectrum-out``
-writes the MUSIC pseudospectrum of the noise subspace that
-``estimate_trial`` returns beside the estimate.
+writes the pseudospectrum MUSIC picks its peaks from, of the noise
+subspace that ``estimate_trial`` returns beside the estimate.
 
 ``sweep`` runs one ``rmse_sweep`` per feasible (geometry, a) pair and
 writes them with the library writers: ``--out`` through
@@ -41,7 +41,8 @@ import sys
 
 from . import __version__
 from .coarray import max_shrinkage
-from .estimators import default_grid, music_spectrum, save_spectrum_csv
+from .estimators import (_grid_spectrum, _noise_polynomial, default_grid,
+                         save_spectrum_csv)
 from .geometry import (build_mra, build_nested, build_super_nested, build_ula,
                        difference_coarray)
 from .montecarlo import (ExperimentConfig, estimate_trial, rmse_sweep,
@@ -205,7 +206,8 @@ def cmd_estimate(args) -> int:
     print(f"estimates ({unit}): " + " ".join(f"{v:.6f}" for v in values))
     print(f"method: {run.method}  fill_count: {result.fill_count}")
     if args.spectrum_out:
-        spectrum = music_spectrum(noise, default_grid(run.grid_size))
+        spectrum = _grid_spectrum(_noise_polynomial(noise),
+                                  default_grid(run.grid_size))
         save_spectrum_csv(spectrum, args.spectrum_out)
         print(f"spectrum written to {args.spectrum_out}")
     return 0

@@ -121,23 +121,18 @@ def _noise_polynomial(noise: np.ndarray) -> np.ndarray:
 def _circle_values(t: np.ndarray, size: int) -> np.ndarray:
     """p(z) = sum_k t_k z^k, k = -L..L, at z = -exp(2*pi*i*j/size) for
     j = 0..size-1: sum_k (-1)^k t_k exp(2*pi*i*k*j/size), an inverse DFT
-    of length ``size`` once k is folded mod size.  t is
-    conjugate-symmetric, t_{-k} = conj(t_k), so the values are real and
-    one half-length real transform of the size // 2 + 1 non-negative
-    bins gives them.  Those bins hold lags 0..L as they are when
-    ``size`` >= 2L + 1; coarser grids fold every lag mod size first.  A
-    stack of rows t gives a row of values each."""
+    of length ``size``.  t is conjugate-symmetric, t_{-k} = conj(t_k), so
+    the values are real and one half-length real transform of the
+    non-negative bins, which hold lags 0..L, gives them.  A grid coarser
+    than 2L + 1 points is every ``step``-th value of the transform over
+    ``step * size`` >= 2L + 1 points.  A stack of rows t gives a row of
+    values each."""
     lag = t.shape[-1] // 2
-    if size >= t.shape[-1]:
-        c = np.zeros(t.shape[:-1] + (size // 2 + 1,), dtype=complex)
-        c[..., :lag + 1] = t[..., lag:]
-        c[..., 1:lag + 1:2] *= -1
-    else:
-        k = np.arange(t.shape[-1]) - lag
-        c = np.zeros(t.shape[:-1] + (size,), dtype=complex)
-        np.add.at(c, (..., k % size), np.where(k % 2, -t, t))
-        c = c[..., :size // 2 + 1]
-    return np.fft.irfft(c, size, norm="forward")
+    step = -(-t.shape[-1] // size)
+    c = np.zeros(t.shape[:-1] + (step * size // 2 + 1,), dtype=complex)
+    c[..., :lag + 1] = t[..., lag:]
+    c[..., 1:lag + 1:2] *= -1
+    return np.fft.irfft(c, step * size, norm="forward")[..., ::step]
 
 
 def _grid_spectrum(t: np.ndarray, grid: np.ndarray) -> Spectrum:

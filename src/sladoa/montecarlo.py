@@ -2,13 +2,14 @@
 
 Per-trial seeds derive from (master seed, axis index, trial index)
 through :class:`numpy.random.SeedSequence`, so results are identical
-for any execution order or worker count.  Each task computes its axis
-point's snapshot factor once, draws its trials' covariances from it
-one by one, and estimates them in blocks of up to ``_BLOCK`` trials,
-each estimator stage one numpy call per block; a trial's draw and
-estimate are bit for bit the same in any block.  Squared errors
-are collected per trial and reduced in a fixed order, keeping the float
-summation deterministic under parallelism.
+for any execution order or worker count.  A sweep is one list of blocks
+of up to ``_BLOCK`` consecutive trials of one axis point, the same for
+any worker count.  Each block draws its trials' covariances one by one
+from its axis point's snapshot factor and estimates them as one stack,
+each estimator stage one numpy call; a trial's draw and estimate are bit
+for bit the same in any block.  Squared errors are collected per trial
+and reduced per axis point in trial order, keeping the float summation
+deterministic under parallelism.
 
 Parallel sweeps share one process pool for the life of the process: it
 is forked at the first sweep with ``workers > 1`` and its workers are
@@ -47,8 +48,8 @@ __all__ = [
 
 _AXES = ("snr", "snapshots")
 _INTEGER_FIELDS = ("a", "snapshots", "trials", "seed", "grid_size")
-# Trials estimated together.  Larger blocks gain little speed and add
-# their stacked arrays to the peak memory.
+# Trials estimated together, and the unit a worker takes.  Larger blocks
+# gain little speed and add their stacked arrays to the peak memory.
 _BLOCK = 8
 
 
@@ -197,8 +198,8 @@ def _run_trials(cfg: ExperimentConfig, axis_value, axis_index: int,
     trial of ``trial_indices`` at one axis point, in order.  Trials are
     drawn one by one from their own seeds through one snapshot factor,
     computed once per call, so each is what ``simulate_snapshots`` draws
-    from that seed.  They are estimated in blocks of up to ``_BLOCK``;
-    each gets an equal share of its block's EVD time.
+    from that seed.  They are estimated as one stack, and each gets an
+    equal share of its EVD time.
 
     Errors are scored on the circle θ ≡ θ + 2: the sorted estimates are
     paired with the sorted thetas by the cyclic shift with the least sum
@@ -210,28 +211,24 @@ def _run_trials(cfg: ExperimentConfig, axis_value, axis_index: int,
     shifts = (np.arange(d)[:, None] + np.arange(d)) % d    # row s: shift s
     t, noise_var = _axis_point(cfg, axis_value)
     factor = _snapshot_factor(cfg.scene, cfg.geometry, noise_var)
-    rows = []
-    for start in range(0, len(trial_indices), _BLOCK):
-        block = trial_indices[start:start + _BLOCK]
-        covs = np.array([sample_covariance(_draw(
-            factor, t, trial_seed(cfg.seed, axis_index, ti)))
-            for ti in block])
-        results, _, evd_time = _estimate_block(covs, cfg.geometry, d, cfg.a,
-                                               cfg.method, cfg.grid_size)
-        err = np.array([r.thetas for r in results])[:, shifts] - cfg.thetas
-        err -= 2.0 * np.rint(err / 2.0)
-        sq = err * err
-        best = sq[np.arange(len(block)), sq.sum(axis=-1).argmin(axis=-1)]
-        rows.extend((row, r.fill_count, evd_time / len(block))
-                    for row, r in zip(best, results))
-    return rows
+    covs = np.array([sample_covariance(_draw(
+        factor, t, trial_seed(cfg.seed, axis_index, ti)))
+        for ti in trial_indices])
+    results, _, evd_time = _estimate_block(covs, cfg.geometry, d, cfg.a,
+                                           cfg.method, cfg.grid_size)
+    err = np.array([r.thetas for r in results])[:, shifts] - cfg.thetas
+    err -= 2.0 * np.rint(err / 2.0)
+    sq = err * err
+    best = sq[np.arange(len(covs)), sq.sum(axis=-1).argmin(axis=-1)]
+    return [(row, r.fill_count, evd_time / len(covs))
+            for row, r in zip(best, results)]
 
 
 def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """RMSE over the axis: sqrt(mean of squared errors over trials and
-    sources), no outlier rejection.  Each axis point runs its trials in
-    ``_run_trials`` tasks of ceil(trials / workers) trials, at most
-    ``workers`` tasks per point; ``workers > 1`` maps them on the
+    sources), no outlier rejection.  The sweep's trials run as
+    ``_run_trials`` blocks of up to ``_BLOCK`` consecutive trials of one
+    axis point, all in one map; ``workers > 1`` maps them on the
     process's shared pool of min(workers, trials) processes.  The pool is
     forked at the first such sweep and kept for every later sweep of its
     size until exit; a sweep of another size replaces it.  If a worker
@@ -243,12 +240,12 @@ def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
         raise ValueError("workers: must be an integer >= 1")
     workers = min(int(workers), cfg.trials)
     if workers == 1:
-        return _sweep(cfg, 1, map)
+        return _sweep(cfg, map)
     from concurrent.futures.process import BrokenProcessPool
     with _pool_lock:                    # one sweep at a time owns the pool
         for retry in (False, True):
             try:
-                return _sweep(cfg, workers, _shared_pool(workers).map)
+                return _sweep(cfg, _shared_pool(workers).map)
             except BrokenProcessPool:
                 # a worker died, perhaps while the pool sat idle since the
                 # last sweep; the trials are seeded, so a rerun is identical
@@ -257,18 +254,22 @@ def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
                     raise
 
 
-def _sweep(cfg: ExperimentConfig, tasks: int, map_tasks) -> SweepResult:
-    """The sweep of ``cfg`` with each axis point's trials split into
-    ``tasks`` runs of consecutive trials, mapped by ``map_tasks(fn,
-    runs)`` and reduced in trial order."""
+def _sweep(cfg: ExperimentConfig, map_blocks) -> SweepResult:
+    """The sweep of ``cfg`` as one list of (axis value, axis index,
+    trial range) blocks of up to ``_BLOCK`` consecutive trials, every
+    axis point's in trial order, mapped by one ``map_blocks(fn,
+    *iterables)`` call and reduced per axis point in trial order."""
     k, d = cfg.trials, len(cfg.thetas)
-    size = -(-k // tasks)
-    runs = [range(i, min(i + size, k)) for i in range(0, k, size)]
+    blocks = [(av, ai, range(i, min(i + _BLOCK, k)))
+              for ai, av in enumerate(cfg.axis_values)
+              for i in range(0, k, _BLOCK)]
+    rows = [row for block_rows in map_blocks(partial(_run_trials, cfg),
+                                             *zip(*blocks))
+            for row in block_rows]
     rmse, fills, mean_t = [], [], []
-    for ai, av in enumerate(cfg.axis_values):
-        rows = [row for task_rows in map_tasks(
-            partial(_run_trials, cfg, av, ai), runs) for row in task_rows]
-        sq, fl, tm = (np.array(column) for column in zip(*rows))
+    for start in range(0, len(rows), k):
+        sq, fl, tm = (np.array(column)
+                      for column in zip(*rows[start:start + k]))
         rmse.append(float(np.sqrt(np.sum(sq) / (k * d))))
         fills.append(int(np.sum(fl)))
         mean_t.append(float(np.mean(tm)))

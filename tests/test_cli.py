@@ -11,10 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sladoa
 from sladoa.cli import main, parse_config, parse_geometry
+from sladoa.estimators import Spectrum, pick_peaks
 from sladoa.geometry import build_mra, build_nested
 from sladoa.montecarlo import ExperimentConfig, rmse_sweep, write_sweep_csv
 from sladoa.numerics import hermitian_evd
@@ -217,6 +219,17 @@ class TestEstimateCommand:
         lines = spec.read_text().splitlines()
         assert lines[0] == "theta,value"
         assert len(lines) == 2001
+
+    def test_spectrum_out_peaks_are_the_estimate(self, tmp_path, capsys):
+        spec = tmp_path / "spec.csv"
+        cfg = self.write_cfg(
+            tmp_path, ESTIMATE_CFG.replace("vws-ca-rmusic", "vws-ca-music"))
+        assert main(["estimate", cfg, "--spectrum-out", str(spec)]) == 0
+        grid, values = np.loadtxt(spec, delimiter=",", skiprows=1).T
+        picked = pick_peaks(Spectrum(grid, values), 3)
+        assert capsys.readouterr().out.startswith(
+            "estimates (sine units): "
+            + " ".join(f"{v:.6f}" for v in picked.thetas) + "\n")
 
     def test_spectrum_out_reuses_the_estimate(self, tmp_path, capsys,
                                               monkeypatch):

@@ -213,6 +213,29 @@ def fresh_pool():
     montecarlo._drop_pool()
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch, fresh_pool):
+    """Parallel sweeps map on a pool that runs in this process.  Returns
+    the sizes of the pools built and the iterables of each map, as
+    lists."""
+    sizes, maps = [], []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables):
+            maps.append([list(it) for it in iterables])
+            return map(fn, *maps[-1])
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        InProcessPool)
+    return sizes, maps
+
+
 class TestRmseSweep:
     def test_single_trial_definition(self):
         cfg = make_cfg(trials=1, axis_values=(5.0,))
@@ -228,7 +251,7 @@ class TestRmseSweep:
             "config", "rmse", "fills", "mean_evd_time"]
 
     def test_deterministic_across_workers(self):
-        # 7 trials split unevenly: chunks of 4+3 and 3+3+1
+        # 7 trials, one block per axis point, on 1, 2 or 3 processes
         cfg = make_cfg(trials=7)
         r1, r2, r3 = (rmse_sweep(cfg, workers=w) for w in (1, 2, 3))
         assert r1.rmse == r2.rmse == r3.rmse
@@ -236,9 +259,8 @@ class TestRmseSweep:
 
     @pytest.mark.parametrize("method", ["vws-ca-music", "vws-ca-rmusic"])
     def test_trial_alike_in_any_task(self, method):
-        # 19 trials, two blocks of 8 and one of 3 in one task, or split
-        # into tasks that cut blocks elsewhere: each trial's squared
-        # errors and fills are those it gets alone
+        # 19 trials in one stack, or in stacks cut elsewhere: each
+        # trial's squared errors and fills are those it gets alone
         cfg = make_cfg(method=method, trials=19, grid_size=600)
         alone = [run_trial(cfg, 10.0, 1, ti) for ti in range(19)]
         for sizes in ([19], [10, 9], [7, 7, 5], [3, 9, 1, 6]):
@@ -266,37 +288,44 @@ class TestRmseSweep:
                            match="workers: must be an integer >= 1"):
             rmse_sweep(make_cfg(trials=2), workers=workers)
 
-    def test_pool_capped_at_trials(self, monkeypatch, fresh_pool):
-        sizes, tasks = [], []
-
-        class InProcessPool:
-            """Records its size and the tasks of each map, and maps in this
-            process."""
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def map(self, fn, runs):
-                tasks.append(list(runs))
-                return map(fn, tasks[-1])
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                            InProcessPool)
+    def test_pool_capped_at_trials(self, in_process_pool):
+        sizes, maps = in_process_pool
         for trials, workers, size in ((4, 64, 4), (7, 3, 3), (7, 2.0, 2)):
             sizes.clear()
-            tasks.clear()
+            maps.clear()
             cfg = make_cfg(trials=trials)
             capped = rmse_sweep(cfg, workers=workers)
             assert sizes == [size]
-            # one map per axis point, each of at most `size` tasks that
-            # together run every trial once, in order
-            assert len(tasks) == len(cfg.axis_values)
-            assert all(len(runs) <= size for runs in tasks)
-            assert all([i for run in runs for i in run] == list(range(trials))
-                       for runs in tasks)
+            # one map per sweep, of blocks of at most _BLOCK consecutive
+            # trials of one axis point; each point's blocks run every
+            # trial once, in order
+            assert len(maps) == 1
+            values, indices, runs = maps[0]
+            assert all(len(run) <= montecarlo._BLOCK for run in runs)
+            for ai, av in enumerate(cfg.axis_values):
+                mine = [(v, run) for v, i, run in zip(values, indices, runs)
+                        if i == ai]
+                assert all(v == av for v, _ in mine)
+                assert [i for _, run in mine for i in run] == list(
+                    range(trials))
             assert capped.rmse == rmse_sweep(cfg, workers=1).rmse
+
+    def test_same_blocks_for_any_workers(self, monkeypatch, in_process_pool):
+        # 19 trials at each of two axis points: blocks of 8, 8 and 3 per
+        # point, whether they run serially or on a pool of 2 or 3
+        stacks = []
+        inner = montecarlo._estimate_block
+
+        def recorded(covs, *args):
+            stacks.append(len(covs))
+            return inner(covs, *args)
+
+        monkeypatch.setattr(montecarlo, "_estimate_block", recorded)
+        cfg = make_cfg(trials=19)
+        for workers in (1, 2, 3):
+            stacks.clear()
+            rmse_sweep(cfg, workers=workers)
+            assert stacks == [8, 8, 3] * 2, workers
 
     def test_one_pool_across_sweeps(self, monkeypatch, fresh_pool):
         built = []
