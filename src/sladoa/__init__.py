@@ -11,9 +11,9 @@ from .estimators import (EstimationResult, Spectrum, default_grid,
                          pick_peaks, root_music, save_spectrum_csv)
 from .geometry import (ArrayGeometry, Coarray, build_mra, build_nested,
                        build_super_nested, build_ula, difference_coarray)
-from .montecarlo import (ExperimentConfig, SweepResult, estimate_trial,
-                         rmse_sweep, run_trial, write_sweep_csv,
-                         write_sweep_json)
+from .montecarlo import (ExperimentConfig, InfeasibleShrinkageError,
+                         SweepResult, estimate_trial, rmse_sweep, run_trial,
+                         write_sweep_csv, write_sweep_json)
 from .numerics import EigenDecomposition, hermitian_evd, polynomial_roots
 from .signal_model import (SourceScene, exact_covariance, sample_covariance,
                            simulate_snapshots, snr_to_noise_var,

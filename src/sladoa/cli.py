@@ -41,12 +41,12 @@ import sys
 
 from . import __version__
 from .coarray import max_shrinkage
-from .estimators import (_grid_spectrum, _noise_polynomial, default_grid,
-                         save_spectrum_csv)
+from .estimators import _grid_spectrum, save_spectrum_csv
 from .geometry import (build_mra, build_nested, build_super_nested, build_ula,
                        difference_coarray)
-from .montecarlo import (ExperimentConfig, estimate_trial, rmse_sweep,
-                         write_sweep_csv, write_sweep_json)
+from .montecarlo import (ExperimentConfig, InfeasibleShrinkageError,
+                         estimate_trial, rmse_sweep, write_sweep_csv,
+                         write_sweep_json)
 
 
 def parse_geometry(tokens):
@@ -206,9 +206,8 @@ def cmd_estimate(args) -> int:
     print(f"estimates ({unit}): " + " ".join(f"{v:.6f}" for v in values))
     print(f"method: {run.method}  fill_count: {result.fill_count}")
     if args.spectrum_out:
-        spectrum = _grid_spectrum(_noise_polynomial(noise),
-                                  default_grid(run.grid_size))
-        save_spectrum_csv(spectrum, args.spectrum_out)
+        save_spectrum_csv(_grid_spectrum(noise, run.grid_size),
+                          args.spectrum_out)
         print(f"spectrum written to {args.spectrum_out}")
     return 0
 
@@ -218,9 +217,7 @@ def cmd_sweep(args) -> int:
     for run in _read_runs(args, snr_default=10.0):    # all, before any trial
         try:
             run.validate()
-        except ValueError as exc:
-            if not str(exc).startswith("a:"):   # not per-combination
-                raise
+        except InfeasibleShrinkageError as exc:     # this combination only
             warnings.append(f"{run.geometry.name} a={run.a}: {exc}")
             continue
         runs.append(run)

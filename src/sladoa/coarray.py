@@ -33,9 +33,9 @@ __all__ = [
 class SmoothedMatrix:
     """M x M Hermitian PSD average of window outer products.
 
-    Only the benchmark's traced replay (``perfbench/tracing.py``) still
-    reads ``.values``; once it stops, ``vws_smooth`` can return the
-    array itself.
+    ``.values`` is read by the benchmark's traced replay
+    (``perfbench/tracing.py``), by acceptance criteria 1 and 2 and by
+    ``tests/reference.py``'s chained estimate, so the wrapper stays.
     """
 
     values: np.ndarray

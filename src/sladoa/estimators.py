@@ -135,12 +135,13 @@ def _circle_values(t: np.ndarray, size: int) -> np.ndarray:
     return np.fft.irfft(c, step * size, norm="forward")[..., ::step]
 
 
-def _grid_spectrum(t: np.ndarray, grid: np.ndarray) -> Spectrum:
-    """``music_spectrum`` on ``grid = default_grid(K)`` from the noise
-    polynomial t of U_N: at theta_j = -1 + 2j/K, exp(j*pi*theta_j) =
-    -exp(2*pi*i*j/K), so the denominators are ``_circle_values`` of t.
-    A stack of rows t gives a row of values each."""
-    denom = _circle_values(t, grid.size)
+def _grid_spectrum(noise: np.ndarray, size: int) -> Spectrum:
+    """``music_spectrum`` of U_N on ``default_grid(size)``, the spectrum
+    MUSIC picks from, by its noise polynomial t: at theta_j = -1 + 2j/K,
+    exp(j*pi*theta_j) = -exp(2*pi*i*j/K), so the denominators are
+    ``_circle_values`` of t.  A stack of U_N gives a row each."""
+    grid = default_grid(size)
+    denom = _circle_values(_noise_polynomial(noise), grid.size)
     return Spectrum(grid, 1.0 / np.maximum(denom, _DENOM_FLOOR))
 
 
@@ -390,8 +391,7 @@ def _estimate_block(covs: np.ndarray, geom: ArrayGeometry, d: int, a: int,
     noise = noise_subspace(sm, d)
     evd_time = time.perf_counter() - t0
     if method == "vws-ca-music":
-        results = _pick_peaks(_grid_spectrum(_noise_polynomial(noise),
-                                             default_grid(grid_size)), d)
+        results = _pick_peaks(_grid_spectrum(noise, grid_size), d)
     else:
         results = _root_music(noise, d)
     return results, noise, evd_time

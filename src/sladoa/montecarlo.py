@@ -2,20 +2,20 @@
 
 Per-trial seeds derive from (master seed, axis index, trial index)
 through :class:`numpy.random.SeedSequence`, so results are identical
-for any execution order or worker count.  A sweep is one list of blocks
-of up to ``_BLOCK`` consecutive trials of one axis point, the same for
-any worker count.  Each block draws its trials' covariances one by one
-from its axis point's snapshot factor and estimates them as one stack,
-each estimator stage one numpy call; a trial's draw and estimate are bit
-for bit the same in any block.  Squared errors are collected per trial
-and reduced per axis point in trial order, keeping the float summation
-deterministic under parallelism.
+for any execution order or worker count.  The unit of drawing, results
+and scheduling is the block of up to ``_BLOCK`` consecutive trials of
+one axis point, and a sweep is one list of blocks for any worker count.
+A block draws its trials' covariances from its axis point's snapshot
+factor and estimates them as one stack; a trial's bits are the same in
+any block.  It returns its trials' squared errors and fills as arrays,
+and each axis point's blocks are reduced in trial order, keeping the
+float summation deterministic under parallelism.
 
-Parallel sweeps share one process pool for the life of the process: it
-is forked at the first sweep with ``workers > 1`` and its workers are
-joined at interpreter exit.  The pool stack (``concurrent.futures``,
-``multiprocessing``) is imported with the pool, and ``csv`` and
-``json`` with the writers that use them.
+Parallel sweeps share one process pool, of at most one worker per
+block, for the life of the process: it is forked at the first sweep
+with ``workers > 1`` and two or more blocks and joined at interpreter
+exit.  The pool stack (``concurrent.futures``, ``multiprocessing``) is
+imported with the pool, and ``csv`` and ``json`` with the writers.
 """
 
 # Serial sweeps and ``sladoa estimate`` never use the pool stack or the
@@ -33,11 +33,11 @@ from .coarray import max_shrinkage
 from .estimators import _METHODS, _estimate_block, estimate_doas
 from .geometry import ArrayGeometry, difference_coarray
 from .signal_model import (SourceScene, _draw, _snapshot_factor,
-                           sample_covariance, simulate_snapshots,
-                           snr_to_noise_var)
+                           sample_covariance, snr_to_noise_var)
 
 __all__ = [
     "ExperimentConfig",
+    "InfeasibleShrinkageError",
     "SweepResult",
     "estimate_trial",
     "run_trial",
@@ -48,8 +48,8 @@ __all__ = [
 
 _AXES = ("snr", "snapshots")
 _INTEGER_FIELDS = ("a", "snapshots", "trials", "seed", "grid_size")
-# Trials estimated together, and the unit a worker takes.  Larger blocks
-# gain little speed and add their stacked arrays to the peak memory.
+# The unit of drawing, results and scheduling.  Larger blocks gain
+# little speed and add their stacked arrays to the peak memory.
 _BLOCK = 8
 
 
@@ -93,7 +93,8 @@ class ExperimentConfig:
         return SourceScene(self.thetas, self.powers)
 
     def validate(self) -> None:
-        """Raise ValueError naming the offending field."""
+        """Raise ValueError naming the offending field, and its subclass
+        InfeasibleShrinkageError for an a above the geometry's bound."""
         try:
             self.scene
         except ValueError as exc:
@@ -126,18 +127,23 @@ class ExperimentConfig:
         if self.method == "vws-ca-music" and self.grid_size < d:
             raise ValueError(f"grid_size: {self.grid_size} points, "
                              f"fewer than d={d} sources")
-        if not float(self.a).is_integer():
-            raise ValueError(f"a: must be an integer, got {self.a}")
+        if not _is_count(self.a, least=0):
+            raise ValueError(f"a: must be an integer >= 0, got {self.a}")
         ca = difference_coarray(self.geometry)
         try:
             amax = max_shrinkage(ca.udof, d)
         except ValueError as exc:
             raise ValueError(f"thetas: {self.geometry.name}: {exc}") from None
-        if not 0 <= self.a <= amax:
-            raise ValueError(
+        if self.a > amax:
+            raise InfeasibleShrinkageError(
                 f"a: shrinkage {self.a} infeasible for UDOF={ca.udof}, "
                 f"D={d}; maximum a is {amax}"
             )
+
+
+class InfeasibleShrinkageError(ValueError):
+    """A shrinkage a above the bound of its geometry and source count:
+    the fault of one (geometry, a) combination, not of the config."""
 
 
 def _is_count(v, least: int = 1) -> bool:
@@ -151,9 +157,9 @@ class SweepResult:
     """The RMSE curve of ``config``: per point of ``config.axis_values``,
     the RMSE, the fill count summed over trials and the mean EVD time.
 
-    ``mean_evd_time`` is wall-clock time: the mean over trials of each
-    trial's share of its block's EVD time.  It goes to the JSON sidecar
-    and never to the CSV, which stays byte-identical run to run.
+    ``mean_evd_time`` is wall-clock time: the point's summed block EVD
+    seconds divided by ``trials``.  It goes to the JSON sidecar and
+    never to the CSV, which stays byte-identical run to run.
     """
 
     config: ExperimentConfig
@@ -167,21 +173,25 @@ def trial_seed(master: int, axis_index: int, trial_index: int):
     return np.random.SeedSequence([master, axis_index, trial_index])
 
 
-def _axis_point(cfg: ExperimentConfig, axis_value):
-    """(snapshots, noise variance) of ``cfg`` at ``axis_value``."""
-    if cfg.axis == "snr":
-        return cfg.snapshots, snr_to_noise_var(float(axis_value))
-    return int(axis_value), snr_to_noise_var(cfg.snr_db)
+def _covariances(cfg: ExperimentConfig, axis_value, seeds) -> np.ndarray:
+    """The (K, N, N) stack of sample covariances of ``cfg`` at
+    ``axis_value``, one per seed: each is ``sample_covariance`` of what
+    ``simulate_snapshots`` draws from its seed, through one snapshot
+    factor computed once per call."""
+    t = cfg.snapshots if cfg.axis == "snr" else int(axis_value)
+    snr_db = float(axis_value) if cfg.axis == "snr" else cfg.snr_db
+    factor = _snapshot_factor(cfg.scene, cfg.geometry,
+                              snr_to_noise_var(snr_db))
+    return np.array([sample_covariance(_draw(factor, t, seed))
+                     for seed in seeds])
 
 
 def estimate_trial(cfg: ExperimentConfig, axis_value, seed):
     """Draw one snapshot set of ``cfg`` at ``axis_value`` from ``seed``
     and estimate from its sample covariance; returns what
     ``estimate_doas`` returns, (EstimationResult, noise subspace U_N)."""
-    t, noise_var = _axis_point(cfg, axis_value)
-    r = sample_covariance(
-        simulate_snapshots(cfg.scene, cfg.geometry, t, noise_var, seed))
-    return estimate_doas(r, cfg.geometry, len(cfg.thetas), cfg.a,
+    return estimate_doas(_covariances(cfg, axis_value, [seed])[0],
+                         cfg.geometry, len(cfg.thetas), cfg.a,
                          method=cfg.method, grid_size=cfg.grid_size)
 
 
@@ -189,17 +199,16 @@ def run_trial(cfg: ExperimentConfig, axis_value, axis_index: int,
               trial_index: int):
     """One end-to-end trial, ``_run_trials`` over one index; returns
     (squared errors per source, fill count, EVD wall time)."""
-    return _run_trials(cfg, axis_value, axis_index, [trial_index])[0]
+    sq, fills, t = _run_trials(cfg, axis_value, axis_index, [trial_index])
+    return sq[0], int(fills[0]), t
 
 
 def _run_trials(cfg: ExperimentConfig, axis_value, axis_index: int,
                 trial_indices):
-    """(squared errors per source, fill count, EVD seconds) of each
-    trial of ``trial_indices`` at one axis point, in order.  Trials are
-    drawn one by one from their own seeds through one snapshot factor,
-    computed once per call, so each is what ``simulate_snapshots`` draws
-    from that seed.  They are estimated as one stack, and each gets an
-    equal share of its EVD time.
+    """The block of ``trial_indices`` at one axis point, drawn as one
+    ``_covariances`` stack from the trials' own seeds and estimated as
+    one stack: the (K, d) squared errors per source and the (K,) fill
+    counts of its trials, in order, and the block's EVD seconds.
 
     Errors are scored on the circle θ ≡ θ + 2: the sorted estimates are
     paired with the sorted thetas by the cyclic shift with the least sum
@@ -209,43 +218,41 @@ def _run_trials(cfg: ExperimentConfig, axis_value, axis_index: int,
     """
     d = len(cfg.thetas)
     shifts = (np.arange(d)[:, None] + np.arange(d)) % d    # row s: shift s
-    t, noise_var = _axis_point(cfg, axis_value)
-    factor = _snapshot_factor(cfg.scene, cfg.geometry, noise_var)
-    covs = np.array([sample_covariance(_draw(
-        factor, t, trial_seed(cfg.seed, axis_index, ti)))
-        for ti in trial_indices])
+    covs = _covariances(cfg, axis_value, [
+        trial_seed(cfg.seed, axis_index, ti) for ti in trial_indices])
     results, _, evd_time = _estimate_block(covs, cfg.geometry, d, cfg.a,
                                            cfg.method, cfg.grid_size)
     err = np.array([r.thetas for r in results])[:, shifts] - cfg.thetas
     err -= 2.0 * np.rint(err / 2.0)
     sq = err * err
     best = sq[np.arange(len(covs)), sq.sum(axis=-1).argmin(axis=-1)]
-    return [(row, r.fill_count, evd_time / len(covs))
-            for row, r in zip(best, results)]
+    return best, np.array([r.fill_count for r in results]), evd_time
 
 
 def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """RMSE over the axis: sqrt(mean of squared errors over trials and
-    sources), no outlier rejection.  The sweep's trials run as
-    ``_run_trials`` blocks of up to ``_BLOCK`` consecutive trials of one
-    axis point, all in one map; ``workers > 1`` maps them on the
-    process's shared pool of min(workers, trials) processes.  The pool is
-    forked at the first such sweep and kept for every later sweep of its
-    size until exit; a sweep of another size replaces it.  If a worker
-    dies, the sweep runs once more on a new pool, and a second break
-    raises ``BrokenProcessPool``.  ``workers`` must be an integer >= 1
-    (2.0 counts, 2.5 not), or ValueError is raised."""
+    sources), no outlier rejection.  The sweep's ``_run_trials`` blocks
+    run in one map: serially if ``workers`` is 1 or there is one block,
+    else on the process's shared pool of min(workers, blocks) processes.
+    The pool is forked at the first such sweep and kept for every later
+    sweep of its size until exit; a sweep of another size replaces it.
+    If a worker dies, the sweep runs once more on a new pool, and a
+    second break raises ``BrokenProcessPool``.  ``workers`` must be an
+    integer >= 1 (2.0 counts, 2.5 not), or ValueError is raised."""
     cfg.validate()
     if not _is_count(workers):
         raise ValueError("workers: must be an integer >= 1")
-    workers = min(int(workers), cfg.trials)
+    blocks = [(av, ai, range(i, min(i + _BLOCK, cfg.trials)))
+              for ai, av in enumerate(cfg.axis_values)
+              for i in range(0, cfg.trials, _BLOCK)]
+    workers = min(int(workers), len(blocks))
     if workers == 1:
-        return _sweep(cfg, map)
+        return _sweep(cfg, blocks, map)
     from concurrent.futures.process import BrokenProcessPool
     with _pool_lock:                    # one sweep at a time owns the pool
         for retry in (False, True):
             try:
-                return _sweep(cfg, _shared_pool(workers).map)
+                return _sweep(cfg, blocks, _shared_pool(workers).map)
             except BrokenProcessPool:
                 # a worker died, perhaps while the pool sat idle since the
                 # last sweep; the trials are seeded, so a rerun is identical
@@ -254,25 +261,20 @@ def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
                     raise
 
 
-def _sweep(cfg: ExperimentConfig, map_blocks) -> SweepResult:
-    """The sweep of ``cfg`` as one list of (axis value, axis index,
-    trial range) blocks of up to ``_BLOCK`` consecutive trials, every
-    axis point's in trial order, mapped by one ``map_blocks(fn,
-    *iterables)`` call and reduced per axis point in trial order."""
+def _sweep(cfg: ExperimentConfig, blocks, map_blocks) -> SweepResult:
+    """The sweep of ``cfg`` over its list of (axis value, axis index,
+    trial range) blocks, every axis point's in trial order, mapped by
+    one ``map_blocks(fn, *iterables)`` call; each axis point's block
+    results are concatenated in trial order and reduced."""
     k, d = cfg.trials, len(cfg.thetas)
-    blocks = [(av, ai, range(i, min(i + _BLOCK, k)))
-              for ai, av in enumerate(cfg.axis_values)
-              for i in range(0, k, _BLOCK)]
-    rows = [row for block_rows in map_blocks(partial(_run_trials, cfg),
-                                             *zip(*blocks))
-            for row in block_rows]
+    done = list(zip(blocks, map_blocks(partial(_run_trials, cfg),
+                                       *zip(*blocks))))
     rmse, fills, mean_t = [], [], []
-    for start in range(0, len(rows), k):
-        sq, fl, tm = (np.array(column)
-                      for column in zip(*rows[start:start + k]))
-        rmse.append(float(np.sqrt(np.sum(sq) / (k * d))))
-        fills.append(int(np.sum(fl)))
-        mean_t.append(float(np.mean(tm)))
+    for ai in range(len(cfg.axis_values)):
+        sq, fl, tm = zip(*(out for (_, i, _), out in done if i == ai))
+        rmse.append(float(np.sqrt(np.sum(np.concatenate(sq)) / (k * d))))
+        fills.append(int(np.sum(np.concatenate(fl))))
+        mean_t.append(sum(tm) / k)
     return SweepResult(cfg, tuple(rmse), tuple(fills), tuple(mean_t))
 
 

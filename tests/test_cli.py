@@ -406,6 +406,22 @@ class TestSweepCommand:
         # the a=17 rows are dropped for nested(4,4) only
         assert len(out.read_text().splitlines()) == 7
 
+    def test_negative_a_exits_2_before_any_trial(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # a < 0 is invalid on every geometry, not one infeasible combination
+        swept, sweep = [], sladoa.cli.rmse_sweep
+
+        def recorded(run, **kw):
+            swept.append(run)
+            return sweep(run, **kw)
+
+        monkeypatch.setattr("sladoa.cli.rmse_sweep", recorded)
+        text = SWEEP_CFG.replace("a = 0 3", "a = 0 -1")
+        code, out, captured = self.run_sweep(tmp_path, capsys, text)
+        assert code == 2
+        assert "a: must be an integer >= 0" in captured.err
+        assert swept == [] and not out.exists()
+
     def test_all_infeasible_exits_2(self, tmp_path, capsys):
         text = SWEEP_CFG.replace("a = 0 3", "a = 25")
         code, _, _ = self.run_sweep(tmp_path, capsys, text)

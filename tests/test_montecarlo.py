@@ -17,9 +17,9 @@ import pytest
 from sladoa import montecarlo
 from sladoa.estimators import estimate_doas
 from sladoa.geometry import build_mra, build_nested, build_super_nested
-from sladoa.montecarlo import (ExperimentConfig, estimate_trial, rmse_sweep,
-                               run_trial, trial_seed, write_sweep_csv,
-                               write_sweep_json)
+from sladoa.montecarlo import (ExperimentConfig, InfeasibleShrinkageError,
+                               estimate_trial, rmse_sweep, run_trial,
+                               trial_seed, write_sweep_csv, write_sweep_json)
 from sladoa.signal_model import (sample_covariance, simulate_snapshots,
                                  snr_to_noise_var)
 
@@ -42,6 +42,16 @@ class TestConfigValidation:
     def test_rejects_infeasible_a(self):
         with pytest.raises(ValueError, match="a:"):
             make_cfg(a=17).validate()
+
+    def test_negative_a_is_not_infeasible_shrinkage(self):
+        # only a above the geometry's bound is one combination's fault
+        with pytest.raises(InfeasibleShrinkageError,
+                           match="maximum a is 16"):
+            make_cfg(a=17).validate()
+        with pytest.raises(ValueError,
+                           match="a: must be an integer >= 0") as caught:
+            make_cfg(a=-1).validate()
+        assert not isinstance(caught.value, InfeasibleShrinkageError)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="method:"):
@@ -144,9 +154,9 @@ class TestRunTrial:
         assert fills == result.fill_count
         assert noise.shape == (17, 14)          # M = 20 - a, M - d
         # On the sweeps of the benchmark's three workloads, every trial
-        # that ``_run_trials`` draws from its once-computed snapshot
-        # factor, in a block of 8 and a block of 2, is bit for bit the
-        # public chain from ``simulate_snapshots`` with the trial's seed.
+        # of a ten-trial ``_run_trials`` block, drawn from the block's
+        # once-computed snapshot factor, is bit for bit the public chain
+        # from ``simulate_snapshots`` with the trial's seed.
         nested, snaq2 = build_nested(4, 4), build_super_nested(4, 4)
         sweeps = [make_cfg(geometry=g, a=a, snapshots=1000,
                            axis_values=(0.0, 5.0, 10.0))
@@ -163,8 +173,9 @@ class TestRunTrial:
             for ai, av in enumerate(cfg.axis_values):
                 t, snr_db = ((cfg.snapshots, av) if cfg.axis == "snr"
                              else (int(av), cfg.snr_db))
-                rows = montecarlo._run_trials(cfg, av, ai, range(10))
-                for ti, (sq, fills, _) in enumerate(rows):
+                sq, fills, _ = montecarlo._run_trials(cfg, av, ai, range(10))
+                assert sq.shape == (10, d) and fills.shape == (10,)
+                for ti in range(10):
                     x = simulate_snapshots(cfg.scene, cfg.geometry, t,
                                            snr_to_noise_var(snr_db),
                                            trial_seed(cfg.seed, ai, ti))
@@ -173,9 +184,9 @@ class TestRunTrial:
                         method=cfg.method, grid_size=cfg.grid_size)
                     err = result.thetas - np.asarray(cfg.thetas)
                     np.testing.assert_array_equal(
-                        sq, err * err, err_msg=f"{cfg.geometry.name}, "
+                        sq[ti], err * err, err_msg=f"{cfg.geometry.name}, "
                         f"a={cfg.a}, {cfg.axis}={av}, trial {ti}")
-                    assert fills == result.fill_count
+                    assert fills[ti] == result.fill_count
 
     def test_errors_wrap_at_endfire(self):
         # theta = -1 and +1 are one direction; an estimate of the endfire
@@ -265,12 +276,15 @@ class TestRmseSweep:
         alone = [run_trial(cfg, 10.0, 1, ti) for ti in range(19)]
         for sizes in ([19], [10, 9], [7, 7, 5], [3, 9, 1, 6]):
             ends = np.cumsum(sizes)
-            rows = [row for start, end in zip(ends - sizes, ends)
-                    for row in montecarlo._run_trials(
-                        cfg, 10.0, 1, range(start, end))]
-            for (sq, fill, _), (sq1, fill1, _) in zip(rows, alone):
-                np.testing.assert_array_equal(sq, sq1)
-                assert fill == fill1
+            blocks = [montecarlo._run_trials(cfg, 10.0, 1, range(start, end))
+                      for start, end in zip(ends - sizes, ends)]
+            for (sq, fills, _), size in zip(blocks, sizes):
+                assert sq.shape == (size, 3) and fills.shape == (size,)
+            sq = np.concatenate([block[0] for block in blocks])
+            fills = np.concatenate([block[1] for block in blocks])
+            for ti, (sq1, fill1, _) in enumerate(alone):
+                np.testing.assert_array_equal(sq[ti], sq1)
+                assert fills[ti] == fill1
         serial = rmse_sweep(cfg)
         for workers in (2, 3):
             parallel = rmse_sweep(cfg, workers=workers)
@@ -288,19 +302,28 @@ class TestRmseSweep:
                            match="workers: must be an integer >= 1"):
             rmse_sweep(make_cfg(trials=2), workers=workers)
 
-    def test_pool_capped_at_trials(self, in_process_pool):
+    def test_pool_capped_at_blocks(self, in_process_pool):
+        # no more workers than blocks, and none for a one-block sweep
         sizes, maps = in_process_pool
-        for trials, workers, size in ((4, 64, 4), (7, 3, 3), (7, 2.0, 2)):
+        one, two = (10.0,), (0.0, 10.0)
+        for trials, axis, workers, size in (
+                (8, one, 4, []), (4, two, 64, [2]), (20, two, 64, [6]),
+                (20, two, 3, [3]), (7, two, 2.0, [2])):
             sizes.clear()
             maps.clear()
-            cfg = make_cfg(trials=trials)
+            cfg = make_cfg(trials=trials, axis_values=axis)
             capped = rmse_sweep(cfg, workers=workers)
-            assert sizes == [size]
+            assert sizes == size
+            assert capped.rmse == rmse_sweep(cfg, workers=1).rmse
+            if not size:
+                assert maps == []
+                continue
             # one map per sweep, of blocks of at most _BLOCK consecutive
             # trials of one axis point; each point's blocks run every
             # trial once, in order
             assert len(maps) == 1
             values, indices, runs = maps[0]
+            assert size == [min(workers, len(runs))]
             assert all(len(run) <= montecarlo._BLOCK for run in runs)
             for ai, av in enumerate(cfg.axis_values):
                 mine = [(v, run) for v, i, run in zip(values, indices, runs)
@@ -308,7 +331,6 @@ class TestRmseSweep:
                 assert all(v == av for v, _ in mine)
                 assert [i for _, run in mine for i in run] == list(
                     range(trials))
-            assert capped.rmse == rmse_sweep(cfg, workers=1).rmse
 
     def test_same_blocks_for_any_workers(self, monkeypatch, in_process_pool):
         # 19 trials at each of two axis points: blocks of 8, 8 and 3 per
@@ -326,6 +348,23 @@ class TestRmseSweep:
             stacks.clear()
             rmse_sweep(cfg, workers=workers)
             assert stacks == [8, 8, 3] * 2, workers
+
+    def test_mean_evd_time_sums_block_times(self, monkeypatch,
+                                            in_process_pool):
+        # 19 trials per point run as blocks of 8, 8 and 3; each block
+        # reports t EVD seconds, so each point's mean is 3 t / 19
+        t = 0.001
+        inner = montecarlo._estimate_block
+
+        def timed(*args):
+            results, noise, _ = inner(*args)
+            return results, noise, t
+
+        monkeypatch.setattr(montecarlo, "_estimate_block", timed)
+        cfg = make_cfg(trials=19)
+        for workers in (1, 2):
+            result = rmse_sweep(cfg, workers=workers)
+            assert result.mean_evd_time == (3 * t / 19,) * 2, workers
 
     def test_one_pool_across_sweeps(self, monkeypatch, fresh_pool):
         built = []

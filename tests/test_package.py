@@ -1,7 +1,7 @@
 """Package surface: every public name is re-exported by ``sladoa``, no
-module or test file imports a name it never uses, and importing the
-package leaves the process-pool stack and the writers' modules
-unloaded."""
+module, test file or function imports a name it never uses, and
+importing the package leaves the process-pool stack and the writers'
+modules unloaded."""
 
 import ast
 import importlib
@@ -31,14 +31,24 @@ def test_public_names_reexported(name):
                                   if p.name != "__init__.py"] + TESTS,
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
+    # a module-level import must be used in the module, and a function's
+    # own import in that function
     tree = ast.parse(path.read_text())
-    imported = {alias.asname or alias.name.split(".")[0]
-                for node in tree.body
-                if isinstance(node, (ast.Import, ast.ImportFrom))
-                for alias in node.names}
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    unused = sorted(imported - used)
+    unused = sorted(_imported(tree.body) - _used(tree))
+    unused += sorted(f"{fn.name}: {name}" for fn in ast.walk(tree)
+                     if isinstance(fn, _FUNCTIONS)
+                     for name in _imported(_scope_nodes(fn)) - _used(fn))
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _imported(nodes):
+    return {alias.asname or alias.name.split(".")[0] for node in nodes
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+
+
+def _used(scope):
+    return {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
 
 
 # Modules that only a parallel sweep or a sweep writer uses.
