@@ -1,14 +1,16 @@
 """Command-line front end: geometry inspection, single-shot estimation,
 and Monte Carlo sweeps.
 
-Exit codes: 0 success, 1 I/O or runtime failure, 2 validation failure
-(a ValueError, whose message starts with the offending field).
+Exit codes: 0 success, 1 I/O or runtime failure, 2 validation failure:
+``main`` prints each invalid setting or geometry spec, ``geometry
+--sources`` included, on stderr as ``error: <field>: ...``.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment.
 List values are whitespace- or comma-separated.  Both commands read
 these keys through one reader, which yields one ``ExperimentConfig`` per
-(geometry, a); an unknown or repeated key exits 2, and ``estimate``
-takes one geometry, one a and one axis value:
+(geometry, a); an unknown or repeated key exits 2, and every value
+rule, integer-ness included, is ``ExperimentConfig.validate``'s.
+``estimate`` takes one geometry, one a and one axis value:
 
   geometry   = nested 4 4 | super-nested 4 4 | mra 8 | ula 8
                (sweeps may list several, separated by ';')
@@ -105,13 +107,6 @@ def _floats(cfg, key, default=None):
         raise ValueError(f"{key}: expected numbers, got {cfg[key]}")
 
 
-def _ints(cfg, key, default=None):
-    vals = _floats(cfg, key, default)
-    if not all(float(v).is_integer() for v in vals):
-        raise ValueError(f"{key}: expected integers")
-    return [int(v) for v in vals]
-
-
 def _scalar(vals, key):
     if len(vals) != 1:
         raise ValueError(f"{key}: expected a single value")
@@ -119,11 +114,7 @@ def _scalar(vals, key):
 
 
 def cmd_geometry(args) -> int:
-    try:
-        geom = parse_geometry([args.kind] + [str(v) for v in args.params])
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    geom = parse_geometry([args.kind] + args.params)
     ca = difference_coarray(geom)
     print(f"{geom.name}: {' '.join(str(p) for p in geom.positions)}")
     print(f"sensors: {geom.n}  aperture: {geom.aperture}")
@@ -137,8 +128,7 @@ def cmd_geometry(args) -> int:
         try:
             amax = max_shrinkage(ca.udof, args.sources)
         except ValueError as exc:
-            print(f"max shrinkage (D={args.sources}): infeasible ({exc})")
-            return 2
+            raise ValueError(f"sources: {exc}") from None
         print(f"max shrinkage (D={args.sources}): {amax}")
     return 0
 
@@ -150,8 +140,8 @@ _KEYS = ("geometry", "thetas", "powers", "method", "a", "snapshots",
 def _read_runs(args, snr_default) -> list:
     """One unvalidated ExperimentConfig per (geometry, a) of the config
     file, in file order; ``sweep --trials`` overrides the file's
-    ``trials``.  Only token shape is checked here; value rules are
-    ``ExperimentConfig.validate``'s."""
+    ``trials``.  Only token shape is checked here; value rules, integer-ness
+    included, are ``ExperimentConfig.validate``'s."""
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
     for key in cfg:
@@ -164,9 +154,9 @@ def _read_runs(args, snr_default) -> list:
         raise ValueError("geometry: missing required key")
     geometries = [parse_geometry(spec) for spec in geom_specs]
     thetas = _floats(cfg, "thetas")
-    a_values = _ints(cfg, "a", [0])
+    a_values = _floats(cfg, "a", [0])
     snr_vals = _floats(cfg, "snr_db", [snr_default])
-    snap_vals = _ints(cfg, "snapshots", [1000])
+    snap_vals = _floats(cfg, "snapshots", [1000])
     if len(snr_vals) > 1 and len(snap_vals) > 1:
         raise ValueError("snr_db/snapshots: only one may be a list (the axis)")
     if len(snap_vals) > 1:
@@ -175,14 +165,14 @@ def _read_runs(args, snr_default) -> list:
         axis, axis_values = "snr", snr_vals
 
     def setting(key, default):
-        return _scalar(_ints(cfg, key, [default]), key)
+        return _scalar(_floats(cfg, key, [default]), key)
 
     trials = getattr(args, "trials", None)      # sweep's flag beats the file
     shared = dict(
         thetas=thetas, powers=_floats(cfg, "powers", [1.0] * len(thetas)),
         method=_scalar(cfg.get("method", ["vws-ca-rmusic"]), "method"),
         snapshots=snap_vals[0], snr_db=snr_vals[0], axis=axis,
-        axis_values=tuple(float(v) for v in axis_values),
+        axis_values=axis_values,
         trials=setting("trials", 500) if trials is None else trials,
         seed=setting("seed", 0), grid_size=setting("grid", 2000))
     return [ExperimentConfig(geometry=geom, a=a, **shared)
@@ -251,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("geometry", help="inspect a geometry and its coarray")
     g.add_argument("kind", help="ula | nested | super-nested | mra")
-    g.add_argument("params", nargs="+", type=int)
+    g.add_argument("params", nargs="+")
     g.add_argument("--sources", type=int, default=None,
                    help="report max shrinkage for this many sources")
     g.set_defaults(func=cmd_geometry)

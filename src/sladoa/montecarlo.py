@@ -47,7 +47,8 @@ __all__ = [
 ]
 
 _AXES = ("snr", "snapshots")
-_INTEGER_FIELDS = ("a", "snapshots", "trials", "seed", "grid_size")
+# the integer fields and the least value of each
+_COUNTS = {"snapshots": 1, "trials": 1, "seed": 0, "grid_size": 2, "a": 0}
 # The unit of drawing, results and scheduling.  Larger blocks gain
 # little speed and add their stacked arrays to the peak memory.
 _BLOCK = 8
@@ -81,7 +82,7 @@ class ExperimentConfig:
             object.__setattr__(self, "snr_db", float(self.snr_db))
         # 3.0 or np.int64(3) runs, and is written to JSON, as 3; other
         # values are left for ``validate`` to reject
-        for field in _INTEGER_FIELDS:
+        for field in _COUNTS:
             v = getattr(self, field)
             if isinstance(v, Real) and float(v).is_integer():
                 object.__setattr__(self, field, int(v))
@@ -107,28 +108,21 @@ class ExperimentConfig:
         if len(self.axis_values) == 0:
             raise ValueError("axis_values: must be nonempty")
         snr_to_noise_var(self.snr_db)           # its error names snr_db
-        if self.axis == "snapshots" and not all(
-                _is_count(v) for v in self.axis_values):
-            raise ValueError("axis_values: snapshot counts must be "
-                             "integers >= 1")
         try:
             for v in self.axis_values if self.axis == "snr" else ():
                 snr_to_noise_var(v)
         except ValueError as exc:
             raise ValueError(f"axis_values: {exc}") from None
-        if not _is_count(self.snapshots):
-            raise ValueError("snapshots: must be an integer >= 1")
-        if not _is_count(self.trials):
-            raise ValueError("trials: must be an integer >= 1")
-        if not _is_count(self.seed, least=0):
-            raise ValueError("seed: must be an integer >= 0")
-        if not (_is_count(self.grid_size) and self.grid_size >= 2):
-            raise ValueError("grid_size: must be an integer >= 2")
+        counts = [(f, getattr(self, f), least) for f, least in _COUNTS.items()]
+        if self.axis == "snapshots":        # each point's snapshot count
+            counts += [("axis_values", v, 1) for v in self.axis_values]
+        for field, v, least in counts:
+            if not _is_count(v, least):
+                raise ValueError(f"{field}: must be an integer >= {least}, "
+                                 f"got {v}")
         if self.method == "vws-ca-music" and self.grid_size < d:
             raise ValueError(f"grid_size: {self.grid_size} points, "
                              f"fewer than d={d} sources")
-        if not _is_count(self.a, least=0):
-            raise ValueError(f"a: must be an integer >= 0, got {self.a}")
         ca = difference_coarray(self.geometry)
         try:
             amax = max_shrinkage(ca.udof, d)

@@ -81,6 +81,12 @@ INVALID_SETTINGS = [
     (("thetas = -0.8 0 0.8",
       "thetas = " + " ".join(f"{0.09 * k - 0.9:.2f}" for k in range(20))),
      "thetas: nested(4,4): 20 sources are not identifiable"),
+    (("snapshots = 400", "snapshots = many"), "snapshots: expected numbers"),
+    (("seed = 7", "seed = 7 8"), "seed: expected a single value"),
+    (("nested 4 4", "nested 4 x"), "geometry: non-integer parameters"),
+    (("nested 4 4", "nested 0 4"), "geometry: nested array needs"),
+    (("geometry = nested 4 4\n", ""), "geometry: missing required key"),
+    (("a = 3", "a = 2.5"), "a: must be an integer >= 0, got 2.5"),
 ]
 
 
@@ -122,7 +128,10 @@ def session_processes(sid: int) -> list:
 @pytest.mark.parametrize("edit,field", INVALID_SETTINGS,
                          ids=["a", "method", "snr_db", "grid", "snapshots",
                               "unknown_key", "seed", "repeated_key",
-                              "nan_theta", "inf_power", "unidentifiable"])
+                              "nan_theta", "inf_power", "unidentifiable",
+                              "snapshots_word", "seed_list", "geometry_word",
+                              "geometry_zero", "no_geometry",
+                              "non_integer_a"])
 def test_invalid_setting_exits_2(tmp_path, capsys, command, edit, field):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(ESTIMATE_CFG.replace(*edit))
@@ -172,6 +181,18 @@ class TestGeometryCommand:
 
     def test_invalid_geometry_exits_2(self, capsys):
         assert main(["geometry", "nested", "4"]) == 2
+
+    def test_non_integer_geometry_exits_2(self, capsys):
+        assert main(["geometry", "nested", "4", "x"]) == 2
+        assert "error: geometry: non-integer parameters" in (
+            capsys.readouterr().err)
+
+    def test_unidentifiable_sources_exits_2(self, capsys):
+        assert main(["geometry", "nested", "4", "4", "--sources", "20"]) == 2
+        captured = capsys.readouterr()
+        assert "error: sources: 20 sources are not identifiable" in (
+            captured.err)
+        assert "max shrinkage" not in captured.out
 
 
 class TestEstimateCommand:
@@ -318,6 +339,22 @@ class TestSweepCommand:
         library = tmp_path / "library.csv"
         write_sweep_csv([rmse_sweep(run) for run in runs], library)
         assert out.read_bytes() == library.read_bytes()
+
+    def test_snapshot_axis_matches_library(self, tmp_path, capsys):
+        text = (ESTIMATE_CFG.replace("snapshots = 400", "snapshots = 100 300")
+                + "snr_db = 10\ntrials = 10\n")
+        code, out, _ = self.run_sweep(tmp_path, capsys, text)
+        assert code == 0
+        run = ExperimentConfig(
+            geometry=build_nested(4, 4), thetas=(-0.8, 0.0, 0.8),
+            method="vws-ca-rmusic", a=3, snapshots=100, snr_db=10.0,
+            axis="snapshots", axis_values=(100.0, 300.0), trials=10, seed=7)
+        library = tmp_path / "library.csv"
+        write_sweep_csv([rmse_sweep(run)], library)
+        assert out.read_bytes() == library.read_bytes()
+        sidecar = json.loads((out.parent / (out.name + ".config.json"))
+                             .read_text())
+        assert [r["config"]["axis"] for r in sidecar] == ["snapshots"]
 
     def test_csv_identical_across_workers(self, tmp_path, capsys):
         outs = []

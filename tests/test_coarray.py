@@ -35,6 +35,8 @@ class TestMaxShrinkage:
     def test_infeasible(self):
         with pytest.raises(ValueError):
             max_shrinkage(5, 3)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            max_shrinkage(39, 0)
 
     def test_rejects_even_udof(self):
         with pytest.raises(ValueError):

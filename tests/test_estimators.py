@@ -217,6 +217,8 @@ class TestPickPeaks:
         grid = default_grid(2)
         with pytest.raises(ValueError, match="fewer than d=3"):
             pick_peaks(Spectrum(grid, np.array([1.0, 2.0])), 3)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            pick_peaks(Spectrum(grid, np.array([1.0, 2.0])), 0)
 
     def test_block_rows_match_single_spectra(self):
         # rows: an ordinary spectrum with many maxima, a monotone one
@@ -331,6 +333,8 @@ class TestRootMusic:
     def test_rejects_small_window(self):
         with pytest.raises(ValueError):
             root_music(np.ones((1, 1)), 1)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            root_music(np.array([[1.0], [0.5j], [0.25]]), 0)
 
     def test_rejects_more_sources_than_roots(self):
         # M = 3 with one noise vector: the noise polynomial has degree

@@ -9,6 +9,7 @@ import math
 import os
 import signal
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 
 import numpy as np
@@ -56,6 +57,8 @@ class TestConfigValidation:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="method:"):
             make_cfg(method="esprit").validate()
+        with pytest.raises(ValueError, match="axis:"):
+            make_cfg(axis="time").validate()
 
     def test_rejects_empty_axis(self):
         with pytest.raises(ValueError, match="axis_values:"):
@@ -389,6 +392,29 @@ class TestRmseSweep:
         os.kill(pid, signal.SIGKILL)
         rerun = rmse_sweep(cfg, workers=2)
         assert (rerun.rmse, rerun.fills) == (serial.rmse, serial.fills)
+
+    def test_second_break_raises(self, monkeypatch, fresh_pool):
+        # the replacement pool breaks too: the sweep fails after two
+        # maps, and neither broken pool is kept
+        maps, shut = [], []
+
+        class BrokenPool:
+            def map(self, fn, *iterables):
+                maps.append(fn)
+                raise BrokenProcessPool("a worker died")
+
+            def shutdown(self):
+                shut.append(self)
+
+        def broken_pool(size):
+            montecarlo._pool = (size, BrokenPool())
+            return montecarlo._pool[1]
+
+        monkeypatch.setattr(montecarlo, "_shared_pool", broken_pool)
+        with pytest.raises(BrokenProcessPool):
+            rmse_sweep(make_cfg(trials=6), workers=2)
+        assert len(maps) == 2 and len(shut) == 2
+        assert montecarlo._pool is None
 
     def test_snr_monotonicity_smoke(self):
         cfg = make_cfg(axis_values=(-10.0, 20.0), trials=60)

@@ -45,6 +45,14 @@ class TestSourceScene:
         with pytest.raises(ValueError):
             SourceScene((-0.5, 1.0), (1.0, 1.0))
 
+    @pytest.mark.parametrize("thetas, powers, message", [
+        ((), (), "at least one source"),
+        ((0.1,), (1.0, 1.0), "equal length")])
+    def test_rejects_no_source_or_unpaired_power(self, thetas, powers,
+                                                 message):
+        with pytest.raises(ValueError, match=message):
+            SourceScene(thetas, powers)
+
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
             SourceScene((0.0,), (0.0,))
@@ -144,6 +152,11 @@ class TestSimulateSnapshots:
         geom = build_ula(4)
         with pytest.raises(ValueError):
             simulate_snapshots(SourceScene((0.0,), (1.0,)), geom, 8, -1.0, seed=0)
+
+    def test_rejects_no_snapshots(self):
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            simulate_snapshots(SourceScene((0.0,), (1.0,)), build_ula(4), 0,
+                               1.0, seed=0)
 
     @pytest.mark.parametrize("noise_var", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("model", [
