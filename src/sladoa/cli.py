@@ -29,12 +29,12 @@ single Monte Carlo trial, seeded with ``seed``; ``--spectrum-out``
 writes the pseudospectrum MUSIC picks its peaks from, of the noise
 subspace that ``estimate_trial`` returns beside the estimate.
 
-``sweep`` runs one ``rmse_sweep`` per feasible (geometry, a) pair and
-writes them with the library writers: ``--out`` through
-``write_sweep_csv`` (no wall-clock column, so byte-identical for any
-``--workers``) and ``<out>.config.json`` through ``write_sweep_json``.
-``--trials`` overrides the file's ``trials``; every other setting comes
-from the file.
+``sweep`` runs one ``rmse_sweep`` of the list of feasible (geometry, a)
+pairs, one draw per trial for the grid, and writes it with the library
+writers: ``--out`` through ``write_sweep_csv`` (no wall-clock column, so
+byte-identical for any ``--workers``) and ``<out>.config.json`` through
+``write_sweep_json``.  ``--trials`` overrides the file's ``trials``.  Number
+flags are read as the file's numbers are, and checked by the library.
 """
 
 import argparse
@@ -47,8 +47,8 @@ from .estimators import _grid_spectrum, save_spectrum_csv
 from .geometry import (build_mra, build_nested, build_super_nested, build_ula,
                        difference_coarray)
 from .montecarlo import (ExperimentConfig, InfeasibleShrinkageError,
-                         estimate_trial, rmse_sweep, write_sweep_csv,
-                         write_sweep_json)
+                         _check_count, estimate_trial, rmse_sweep,
+                         write_sweep_csv, write_sweep_json)
 
 
 def parse_geometry(tokens):
@@ -113,7 +113,18 @@ def _scalar(vals, key):
     return vals[0]
 
 
+def _flag(args, key):
+    """A number flag read as the file's numbers are (3.0 as 3), or None."""
+    if getattr(args, key, None) is None:
+        return None
+    v = _floats({key: [getattr(args, key)]}, key)[0]
+    return int(v) if v.is_integer() else v
+
+
 def cmd_geometry(args) -> int:
+    sources = _flag(args, "sources")
+    if sources is not None:
+        _check_count("sources", sources)
     geom = parse_geometry([args.kind] + args.params)
     ca = difference_coarray(geom)
     print(f"{geom.name}: {' '.join(str(p) for p in geom.positions)}")
@@ -124,12 +135,12 @@ def cmd_geometry(args) -> int:
     print("lag weights (lag: count):")
     print("  " + "  ".join(f"{l}:{c}" for l, c in ca.weights.items()
                            if l >= 0))
-    if args.sources is not None:
+    if sources is not None:
         try:
-            amax = max_shrinkage(ca.udof, args.sources)
+            amax = max_shrinkage(ca.udof, sources)
         except ValueError as exc:
             raise ValueError(f"sources: {exc}") from None
-        print(f"max shrinkage (D={args.sources}): {amax}")
+        print(f"max shrinkage (D={sources}): {amax}")
     return 0
 
 
@@ -167,7 +178,7 @@ def _read_runs(args, snr_default) -> list:
     def setting(key, default):
         return _scalar(_floats(cfg, key, [default]), key)
 
-    trials = getattr(args, "trials", None)      # sweep's flag beats the file
+    trials = _flag(args, "trials")              # sweep's flag beats the file
     shared = dict(
         thetas=thetas, powers=_floats(cfg, "powers", [1.0] * len(thetas)),
         method=_scalar(cfg.get("method", ["vws-ca-rmusic"]), "method"),
@@ -215,7 +226,7 @@ def cmd_sweep(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     if not runs:
         raise ValueError("a/geometry: no feasible (geometry, a) combination")
-    results = [rmse_sweep(run, workers=args.workers) for run in runs]
+    results = rmse_sweep(runs, workers=_flag(args, "workers"))
 
     write_sweep_csv(results, args.out)
     sidecar_path = str(args.out) + ".config.json"
@@ -242,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("geometry", help="inspect a geometry and its coarray")
     g.add_argument("kind", help="ula | nested | super-nested | mra")
     g.add_argument("params", nargs="+")
-    g.add_argument("--sources", type=int, default=None,
+    g.add_argument("--sources", default=None,
                    help="report max shrinkage for this many sources")
     g.set_defaults(func=cmd_geometry)
 
@@ -257,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="Monte Carlo RMSE sweep from a config")
     s.add_argument("config")
     s.add_argument("--out", default="sweep.csv")
-    s.add_argument("--trials", type=int, default=None)
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--trials", default=None)
+    s.add_argument("--workers", default="1")
     s.set_defaults(func=cmd_sweep)
     return parser
 

@@ -2,14 +2,13 @@
 
 Per-trial seeds derive from (master seed, axis index, trial index)
 through :class:`numpy.random.SeedSequence`, so results are identical
-for any execution order or worker count.  The unit of drawing, results
-and scheduling is the block of up to ``_BLOCK`` consecutive trials of
-one axis point, and a sweep is one list of blocks for any worker count.
-A block draws its trials' covariances from its axis point's snapshot
-factor and estimates them as one stack; a trial's bits are the same in
-any block.  It returns its trials' squared errors and fills as arrays,
-and each axis point's blocks are reduced in trial order, keeping the
-float summation deterministic under parallelism.
+for any execution order or worker count.  A sweep runs a grid of one
+config or of several that differ only in geometry, a, method or grid
+size, as one list of blocks of up to ``_BLOCK`` trials of one axis point
+for any worker count.  A block draws each trial's normals once for the
+grid and estimates each config's covariances as one stack, the same
+bits in any block and grid; each config's results are reduced per axis
+point in trial order, so float sums are deterministic in parallel.
 
 Parallel sweeps share one process pool, of at most one worker per
 block, for the life of the process: it is forked at the first sweep
@@ -49,6 +48,8 @@ __all__ = [
 _AXES = ("snr", "snapshots")
 # the integer fields and the least value of each
 _COUNTS = {"snapshots": 1, "trials": 1, "seed": 0, "grid_size": 2, "a": 0}
+# the fields the configs of one sweep may differ in; they share the draw
+_OWN = ("geometry", "a", "method", "grid_size")
 # The unit of drawing, results and scheduling.  Larger blocks gain
 # little speed and add their stacked arrays to the peak memory.
 _BLOCK = 8
@@ -117,9 +118,7 @@ class ExperimentConfig:
         if self.axis == "snapshots":        # each point's snapshot count
             counts += [("axis_values", v, 1) for v in self.axis_values]
         for field, v, least in counts:
-            if not _is_count(v, least):
-                raise ValueError(f"{field}: must be an integer >= {least}, "
-                                 f"got {v}")
+            _check_count(field, v, least)
         if self.method == "vws-ca-music" and self.grid_size < d:
             raise ValueError(f"grid_size: {self.grid_size} points, "
                              f"fewer than d={d} sources")
@@ -140,10 +139,11 @@ class InfeasibleShrinkageError(ValueError):
     the fault of one (geometry, a) combination, not of the config."""
 
 
-def _is_count(v, least: int = 1) -> bool:
-    """True for an integer-valued number >= least (100.0 counts, 100.7
-    not)."""
-    return float(v).is_integer() and v >= least
+def _check_count(field: str, v, least: int = 1) -> None:
+    """Raise ValueError naming ``field`` unless ``v`` is an
+    integer-valued number >= least (100.0 counts, 100.7 not)."""
+    if not (float(v).is_integer() and v >= least):
+        raise ValueError(f"{field}: must be an integer >= {least}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -167,42 +167,45 @@ def trial_seed(master: int, axis_index: int, trial_index: int):
     return np.random.SeedSequence([master, axis_index, trial_index])
 
 
-def _covariances(cfg: ExperimentConfig, axis_value, seeds) -> np.ndarray:
-    """The (K, N, N) stack of sample covariances of ``cfg`` at
-    ``axis_value``, one per seed: each is ``sample_covariance`` of what
-    ``simulate_snapshots`` draws from its seed, through one snapshot
-    factor computed once per call."""
+def _covariances(grid, axis_value, seeds) -> list[np.ndarray]:
+    """Per config of ``grid``, the (K, N, N) stack of sample covariances
+    at ``axis_value`` of what ``simulate_snapshots`` draws from each seed:
+    one ``_draw`` per seed yields each geometry's snapshots in turn, bit
+    for bit (its row-prefix property); a geometry's configs share one."""
+    cfg = grid[0]
     t = cfg.snapshots if cfg.axis == "snr" else int(axis_value)
     snr_db = float(axis_value) if cfg.axis == "snr" else cfg.snr_db
-    factor = _snapshot_factor(cfg.scene, cfg.geometry,
-                              snr_to_noise_var(snr_db))
-    return np.array([sample_covariance(_draw(factor, t, seed))
-                     for seed in seeds])
+    geometries = list(dict.fromkeys(c.geometry for c in grid))
+    factors = [_snapshot_factor(cfg.scene, g, snr_to_noise_var(snr_db))
+               for g in geometries]
+    stacks = zip(*([sample_covariance(x) for x in _draw(factors, t, seed)]
+                   for seed in seeds))
+    by_geometry = dict(zip(geometries, map(np.array, stacks)))
+    return [by_geometry[c.geometry] for c in grid]
 
 
 def estimate_trial(cfg: ExperimentConfig, axis_value, seed):
     """Draw one snapshot set of ``cfg`` at ``axis_value`` from ``seed``
     and estimate from its sample covariance; returns what
     ``estimate_doas`` returns, (EstimationResult, noise subspace U_N)."""
-    return estimate_doas(_covariances(cfg, axis_value, [seed])[0],
+    return estimate_doas(_covariances([cfg], axis_value, [seed])[0][0],
                          cfg.geometry, len(cfg.thetas), cfg.a,
                          method=cfg.method, grid_size=cfg.grid_size)
 
 
 def run_trial(cfg: ExperimentConfig, axis_value, axis_index: int,
               trial_index: int):
-    """One end-to-end trial, ``_run_trials`` over one index; returns
-    (squared errors per source, fill count, EVD wall time)."""
-    sq, fills, t = _run_trials(cfg, axis_value, axis_index, [trial_index])
+    """One end-to-end trial, ``_run_trials`` of one config and index;
+    returns (squared errors per source, fill count, EVD wall time)."""
+    sq, fills, t = _run_trials([cfg], axis_value, axis_index, [trial_index])[0]
     return sq[0], int(fills[0]), t
 
 
-def _run_trials(cfg: ExperimentConfig, axis_value, axis_index: int,
-                trial_indices):
-    """The block of ``trial_indices`` at one axis point, drawn as one
-    ``_covariances`` stack from the trials' own seeds and estimated as
-    one stack: the (K, d) squared errors per source and the (K,) fill
-    counts of its trials, in order, and the block's EVD seconds.
+def _run_trials(grid, axis_value, axis_index: int, trial_indices):
+    """The block of ``trial_indices`` at one axis point, drawn by one
+    ``_covariances`` call: per config of ``grid``, its stack estimated as
+    one, the (K, d) squared errors and (K,) fills of its trials, and its
+    EVD seconds.
 
     Errors are scored on the circle θ ≡ θ + 2: the sorted estimates are
     paired with the sorted thetas by the cyclic shift with the least sum
@@ -210,35 +213,47 @@ def _run_trials(cfg: ExperimentConfig, axis_value, axis_index: int,
     difference is taken modulo 2 into [-1, 1].  So a source at θ = -1
     estimated just below +1 scores its small error.
     """
-    d = len(cfg.thetas)
+    d = len(grid[0].thetas)
     shifts = (np.arange(d)[:, None] + np.arange(d)) % d    # row s: shift s
-    covs = _covariances(cfg, axis_value, [
-        trial_seed(cfg.seed, axis_index, ti) for ti in trial_indices])
-    results, _, evd_time = _estimate_block(covs, cfg.geometry, d, cfg.a,
-                                           cfg.method, cfg.grid_size)
-    err = np.array([r.thetas for r in results])[:, shifts] - cfg.thetas
-    err -= 2.0 * np.rint(err / 2.0)
-    sq = err * err
-    best = sq[np.arange(len(covs)), sq.sum(axis=-1).argmin(axis=-1)]
-    return best, np.array([r.fill_count for r in results]), evd_time
+    seeds = [trial_seed(grid[0].seed, axis_index, i) for i in trial_indices]
+    out = []
+    for cfg, covs in zip(grid, _covariances(grid, axis_value, seeds)):
+        results, _, evd_time = _estimate_block(covs, cfg.geometry, d, cfg.a,
+                                               cfg.method, cfg.grid_size)
+        err = np.array([r.thetas for r in results])[:, shifts] - cfg.thetas
+        err -= 2.0 * np.rint(err / 2.0)
+        sq = err * err
+        best = sq[np.arange(len(covs)), sq.sum(axis=-1).argmin(axis=-1)]
+        out.append((best, np.array([r.fill_count for r in results]), evd_time))
+    return out
 
 
-def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
+def rmse_sweep(cfg, workers: int = 1):
     """RMSE over the axis: sqrt(mean of squared errors over trials and
-    sources), no outlier rejection.  The sweep's ``_run_trials`` blocks
-    run in one map: serially if ``workers`` is 1 or there is one block,
-    else on the process's shared pool of min(workers, blocks) processes.
-    The pool is forked at the first such sweep and kept for every later
-    sweep of its size until exit; a sweep of another size replaces it.
-    If a worker dies, the sweep runs once more on a new pool, and a
-    second break raises ``BrokenProcessPool``.  ``workers`` must be an
-    integer >= 1 (2.0 counts, 2.5 not), or ValueError is raised."""
-    cfg.validate()
-    if not _is_count(workers):
-        raise ValueError("workers: must be an integer >= 1")
-    blocks = [(av, ai, range(i, min(i + _BLOCK, cfg.trials)))
-              for ai, av in enumerate(cfg.axis_values)
-              for i in range(0, cfg.trials, _BLOCK)]
+    sources), no outlier rejection.  Returns the ``SweepResult`` of one
+    ``ExperimentConfig``, or for a list or tuple of configs, validated
+    before any trial runs, their results in order, each bit for bit its
+    own sweep; ValueError names the first field outside ``_OWN`` in which
+    they differ.  The ``_run_trials`` blocks run in one map: serially if
+    ``workers`` is 1 or there is one block, else on the process's shared
+    pool of min(workers, blocks) processes, kept for every later sweep of
+    its size until exit (another size replaces it).  If a worker dies,
+    the sweep runs once more on a new pool; a second break raises
+    ``BrokenProcessPool``.  ``workers`` must be an integer >= 1 (2.0
+    counts, 2.5 not), or ValueError is raised."""
+    if not isinstance(cfg, (list, tuple)):
+        return rmse_sweep([cfg], workers)[0]
+    if not cfg:
+        raise ValueError("configs: an empty list has nothing to sweep")
+    for c in cfg:
+        c.validate()
+    for field in (f.name for f in fields(ExperimentConfig)):
+        if field not in _OWN and len({getattr(c, field) for c in cfg}) > 1:
+            raise ValueError(f"{field}: the configs of one sweep must agree")
+    _check_count("workers", workers)
+    blocks = [(av, ai, range(i, min(i + _BLOCK, cfg[0].trials)))
+              for ai, av in enumerate(cfg[0].axis_values)
+              for i in range(0, cfg[0].trials, _BLOCK)]
     workers = min(int(workers), len(blocks))
     if workers == 1:
         return _sweep(cfg, blocks, map)
@@ -255,21 +270,24 @@ def rmse_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
                     raise
 
 
-def _sweep(cfg: ExperimentConfig, blocks, map_blocks) -> SweepResult:
-    """The sweep of ``cfg`` over its list of (axis value, axis index,
-    trial range) blocks, every axis point's in trial order, mapped by
-    one ``map_blocks(fn, *iterables)`` call; each axis point's block
-    results are concatenated in trial order and reduced."""
-    k, d = cfg.trials, len(cfg.thetas)
-    done = list(zip(blocks, map_blocks(partial(_run_trials, cfg),
+def _sweep(grid, blocks, map_blocks) -> list[SweepResult]:
+    """``grid`` over its list of (axis value, axis index, trial range)
+    blocks, mapped by one ``map_blocks(fn, *iterables)`` call; each
+    config's results are joined per axis point in trial order, reduced."""
+    k, d = grid[0].trials, len(grid[0].thetas)
+    done = list(zip(blocks, map_blocks(partial(_run_trials, grid),
                                        *zip(*blocks))))
-    rmse, fills, mean_t = [], [], []
-    for ai in range(len(cfg.axis_values)):
-        sq, fl, tm = zip(*(out for (_, i, _), out in done if i == ai))
-        rmse.append(float(np.sqrt(np.sum(np.concatenate(sq)) / (k * d))))
-        fills.append(int(np.sum(np.concatenate(fl))))
-        mean_t.append(sum(tm) / k)
-    return SweepResult(cfg, tuple(rmse), tuple(fills), tuple(mean_t))
+    results = []
+    for c, cfg in enumerate(grid):
+        rmse, fills, mean_t = [], [], []
+        for ai in range(len(cfg.axis_values)):
+            sq, fl, tm = zip(*(out[c] for (_, i, _), out in done if i == ai))
+            rmse.append(float(np.sqrt(np.sum(np.concatenate(sq)) / (k * d))))
+            fills.append(int(np.sum(np.concatenate(fl))))
+            mean_t.append(sum(tm) / k)
+        results.append(SweepResult(cfg, tuple(rmse), tuple(fills),
+                                   tuple(mean_t)))
+    return results
 
 
 # (size, pool): the one process pool of this process, or None.  It is

@@ -95,10 +95,10 @@ def simulate_snapshots(scene: SourceScene, geom: ArrayGeometry, t: int,
     x = L g from the triangular factor of ``_snapshot_factor``: 2*N*T
     standard normals, drawn in one call in the order (sensor, time,
     real/imaginary part), so output is bit-reproducible for a given
-    seed.  ``seed`` is anything accepted by
-    :func:`numpy.random.default_rng`.
+    seed, and a draw of more sensors from it starts with these rows bit
+    for bit.  ``seed`` is anything :func:`numpy.random.default_rng` takes.
     """
-    return _draw(_snapshot_factor(scene, geom, noise_var), t, seed)
+    return next(_draw([_snapshot_factor(scene, geom, noise_var)], t, seed))
 
 
 def _snapshot_factor(scene: SourceScene, geom: ArrayGeometry,
@@ -118,14 +118,21 @@ def _snapshot_factor(scene: SourceScene, geom: ArrayGeometry,
     return np.linalg.qr(f.conj().T, mode="r").conj().T
 
 
-def _draw(factor: np.ndarray, t: int, seed) -> np.ndarray:
-    """``factor`` @ g for an N x T array g of complex normals drawn from
-    ``seed``; see ``simulate_snapshots``."""
+def _draw(factors, t: int, seed):
+    """Yield ``factor @ g`` for each N x N factor in turn, g the N x T
+    normals ``simulate_snapshots`` draws from ``seed``: one draw of the
+    largest N, which ``standard_normal`` fills in (sensor, time, part)
+    order, so its first N rows are bit for bit an N-row draw."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    n = factor.shape[0]
+    n = max(f.shape[0] for f in factors)
     g = np.random.default_rng(seed).standard_normal((n, t, 2))
-    return factor @ g.view(np.complex128).reshape(n, t)
+    g = g.view(np.complex128).reshape(n, t)
+    for f in factors[:-1]:
+        yield f @ g[:f.shape[0]]
+    x = factors[-1] @ g[:factors[-1].shape[0]]
+    del g                   # the caller's work on x can reuse its memory
+    yield x
 
 
 def sample_covariance(x) -> np.ndarray:

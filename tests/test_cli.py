@@ -187,6 +187,14 @@ class TestGeometryCommand:
         assert "error: geometry: non-integer parameters" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("sources, message", [
+        ("2.5", "error: sources: must be an integer >= 1, got 2.5"),
+        ("x", "error: sources: expected numbers, got ['x']")])
+    def test_non_integer_sources_exits_2(self, capsys, sources, message):
+        assert main(["geometry", "mra", "8", "--sources", sources]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     def test_unidentifiable_sources_exits_2(self, capsys):
         assert main(["geometry", "nested", "4", "4", "--sources", "20"]) == 2
         captured = capsys.readouterr()
@@ -357,15 +365,16 @@ class TestSweepCommand:
         assert [r["config"]["axis"] for r in sidecar] == ["snapshots"]
 
     def test_csv_identical_across_workers(self, tmp_path, capsys):
+        # "2.0" is read as the file's numbers are, and runs as 2
         outs = []
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "2.0", "3"):
             sub = tmp_path / f"w{workers}"
             sub.mkdir()
             code, out, _ = self.run_sweep(sub, capsys,
                                           extra=["--workers", workers])
             assert code == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[1:] == outs[:1] * 3
 
     def test_sidecar_written(self, tmp_path, capsys):
         _, out, _ = self.run_sweep(tmp_path, capsys)
@@ -421,6 +430,37 @@ class TestSweepCommand:
         assert code == 2
         assert "thetas: ula(4): 5 sources" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "2.5", "error: trials: must be an integer >= 1, got 2.5"),
+        ("--workers", "2.5", "error: workers: must be an integer >= 1"),
+        ("--workers", "x", "error: workers: expected numbers, got ['x']")])
+    def test_non_integer_flag_exits_2(self, tmp_path, capsys, monkeypatch,
+                                      flag, value, message):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("sladoa.montecarlo._run_trials", no_trials)
+        code, out, captured = self.run_sweep(tmp_path, capsys,
+                                             extra=[flag, value])
+        assert code == 2
+        assert message in captured.err and not out.exists()
+
+    def test_one_draw_per_trial_for_the_grid(self, tmp_path, capsys,
+                                             monkeypatch):
+        # 2 geometries x 2 values of a share each trial's draw: 8 trials
+        # at 2 SNR points make 16 draws, not 64
+        seeds, inner = [], sladoa.montecarlo.trial_seed
+
+        def counted(*args):
+            seeds.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr("sladoa.montecarlo.trial_seed", counted)
+        code, out, _ = self.run_sweep(tmp_path, capsys)
+        assert code == 0 and len(out.read_text().splitlines()) == 1 + 8
+        assert sorted(seeds) == [(11, ai, ti) for ai in (0, 1)
+                                 for ti in range(8)]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):

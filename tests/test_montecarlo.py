@@ -176,7 +176,8 @@ class TestRunTrial:
             for ai, av in enumerate(cfg.axis_values):
                 t, snr_db = ((cfg.snapshots, av) if cfg.axis == "snr"
                              else (int(av), cfg.snr_db))
-                sq, fills, _ = montecarlo._run_trials(cfg, av, ai, range(10))
+                [(sq, fills, _)] = montecarlo._run_trials([cfg], av, ai,
+                                                          range(10))
                 assert sq.shape == (10, d) and fills.shape == (10,)
                 for ti in range(10):
                     x = simulate_snapshots(cfg.scene, cfg.geometry, t,
@@ -279,7 +280,8 @@ class TestRmseSweep:
         alone = [run_trial(cfg, 10.0, 1, ti) for ti in range(19)]
         for sizes in ([19], [10, 9], [7, 7, 5], [3, 9, 1, 6]):
             ends = np.cumsum(sizes)
-            blocks = [montecarlo._run_trials(cfg, 10.0, 1, range(start, end))
+            blocks = [montecarlo._run_trials([cfg], 10.0, 1,
+                                             range(start, end))[0]
                       for start, end in zip(ends - sizes, ends)]
             for (sq, fills, _), size in zip(blocks, sizes):
                 assert sq.shape == (size, 3) and fills.shape == (size,)
@@ -431,6 +433,69 @@ class TestRmseSweep:
         cfg = make_cfg(axis="snapshots", axis_values=(50, 400), trials=40)
         result = rmse_sweep(cfg)
         assert result.rmse[1] < result.rmse[0]
+
+
+class TestGridSweep:
+    """A list of configs that share their scene, axis, trials and seed
+    is swept as one grid: one normal draw per trial for every config."""
+
+    @staticmethod
+    def grid(**kw):
+        nested, mra10 = build_nested(4, 4), build_mra(10)
+        runs = [make_cfg(geometry=g, a=a, trials=10, **kw)
+                for g in (nested, mra10) for a in (0, 3)]
+        return runs + [make_cfg(geometry=nested, method="vws-ca-music",
+                                grid_size=600, trials=10, **kw)]
+
+    @pytest.mark.parametrize("axis", [
+        dict(axis_values=(0.0, 10.0)),
+        dict(axis="snapshots", axis_values=(50, 200)),
+    ], ids=["snr", "snapshots"])
+    def test_equals_one_sweep_per_config(self, axis, fresh_pool):
+        # N = 8 and N = 10 in one grid, and a, method and grid size apart:
+        # each result is bit for bit the config's own sweep
+        runs = self.grid(**axis)
+        alone = [rmse_sweep(cfg) for cfg in runs]
+        for workers in (1, 2, 3):
+            together = rmse_sweep(runs, workers=workers)
+            assert [r.config for r in together] == runs
+            assert ([(r.rmse, r.fills) for r in together]
+                    == [(r.rmse, r.fills) for r in alone]), workers
+        assert [r.rmse for r in rmse_sweep(tuple(runs[:2]))] == [
+            r.rmse for r in alone[:2]]
+
+    @pytest.fixture
+    def no_trials(self, monkeypatch):
+        """A trial that runs fails the test."""
+        def refused(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(montecarlo, "_run_trials", refused)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 5), ("thetas", (-0.5, 0.0, 0.5)), ("axis_values", (0.0, 5.0))])
+    def test_rejects_configs_that_draw_apart(self, field, value, no_trials):
+        runs = self.grid()
+        runs.insert(2, replace(runs[2], **{field: value}))
+        with pytest.raises(ValueError, match=f"^{field}: the configs of one "
+                                             f"sweep must agree"):
+            rmse_sweep(runs)
+
+    def test_validates_every_config_before_any_trial(self, no_trials):
+        runs = self.grid()
+        with pytest.raises(InfeasibleShrinkageError, match="maximum a is 16"):
+            rmse_sweep(runs + [replace(runs[0], a=17)])
+        with pytest.raises(ValueError, match="configs: an empty list"):
+            rmse_sweep([])
+
+    def test_draw_shares_its_row_prefix(self):
+        # ``standard_normal`` fills (sensor, time, part) in order, so the
+        # first 8 rows of a 10-row draw are the 8-row draw, bit for bit;
+        # a grid's geometries take their rows of one draw on this basis
+        t = 37
+        ten = np.random.default_rng(5).standard_normal((10, t, 2))
+        eight = np.random.default_rng(5).standard_normal((8, t, 2))
+        np.testing.assert_array_equal(ten[:8], eight)
 
 
 class TestOutputs:
