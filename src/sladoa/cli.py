@@ -39,6 +39,7 @@ flags are read as the file's numbers are, and checked by the library.
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__
@@ -226,6 +227,9 @@ def cmd_sweep(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     if not runs:
         raise ValueError("a/geometry: no feasible (geometry, a) combination")
+    out_dir = os.path.dirname(os.path.abspath(args.out))   # CSV and sidecar
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+        raise OSError(f"out: {out_dir!r} is not a writable directory")
     results = rmse_sweep(runs, workers=_flag(args, "workers"))
 
     write_sweep_csv(results, args.out)

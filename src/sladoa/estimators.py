@@ -10,13 +10,14 @@ map turns the conjugate-reciprocal polynomial of degree 2M-2 into a
 real one of the same degree, whose real companion EVD is several times
 cheaper than the complex one (unitary root-MUSIC, Pesavento, Gershman
 & Haardt 2000).  Larger windows root the polynomial itself through its
-complex companion matrix.
+complex companion matrix.  U_N comes from a real EVD too, the other
+half of unitary root-MUSIC: the smoothed matrix is centro-Hermitian.
 
 ``_estimate_block`` runs the whole chain for a stack of covariances,
 each stage once for the stack up to the polynomial roots: one coarray
-sum, one smoothing product, one EVD, then one FFT and one peak pick, or
-one companion EVD.  Root ranking runs per estimate.  It returns the
-estimates beside the stack of noise subspaces they came from.
+sum, one smoothing product, one real EVD, then one FFT and one peak
+pick, or one companion EVD.  Root ranking runs per estimate.  It returns
+the estimates beside the stack of noise subspaces they came from.
 ``estimate_doas`` is its block of one, and the public stage functions
 are the blocks of one of their stacked kernels, so an estimate is bit
 for bit the same alone or in any block.
@@ -32,7 +33,7 @@ import numpy as np
 
 from .coarray import _smooth, coarray_signal, lag_sums
 from .geometry import ArrayGeometry
-from .numerics import _companion_roots, hermitian_evd
+from .numerics import _centro_hermitian_evd, _companion_roots, hermitian_evd
 
 __all__ = [
     "Spectrum",
@@ -86,7 +87,8 @@ def default_grid(size: int = 2000) -> np.ndarray:
 def noise_subspace(m: np.ndarray, d: int) -> np.ndarray:
     """Noise subspace U_N of an M x M Hermitian matrix, or of each matrix
     of a (..., M, M) stack: the M x (M-d) eigenvectors of all but the d
-    largest eigenvalues."""
+    largest eigenvalues, by the generic complex ``hermitian_evd``: the
+    reference for the estimators' real EVD."""
     m = np.asarray(m)
     if not 0 <= d < m.shape[-1]:
         raise ValueError(f"need 0 <= d < M, got d={d}, M={m.shape[-1]}")
@@ -135,12 +137,19 @@ def _circle_values(t: np.ndarray, size: int) -> np.ndarray:
     return np.fft.irfft(c, step * size, norm="forward")[..., ::step]
 
 
+@lru_cache(maxsize=64)
+def _constant_grid(size: int) -> np.ndarray:
+    grid = default_grid(size)               # built once per size, read-only
+    grid.flags.writeable = False
+    return grid
+
+
 def _grid_spectrum(noise: np.ndarray, size: int) -> Spectrum:
     """``music_spectrum`` of U_N on ``default_grid(size)``, the spectrum
     MUSIC picks from, by its noise polynomial t: at theta_j = -1 + 2j/K,
     exp(j*pi*theta_j) = -exp(2*pi*i*j/K), so the denominators are
     ``_circle_values`` of t.  A stack of U_N gives a row each."""
-    grid = default_grid(size)
+    grid = _constant_grid(size)
     denom = _circle_values(_noise_polynomial(noise), grid.size)
     return Spectrum(grid, 1.0 / np.maximum(denom, _DENOM_FLOOR))
 
@@ -383,12 +392,14 @@ def _estimate_block(covs: np.ndarray, geom: ArrayGeometry, d: int, a: int,
     """``estimate_doas`` of each covariance of a (K, N, N) stack, each
     stage run once for the stack; returns the K estimates, the
     (K, M, M-d) stack of their noise subspaces U_N, and the wall time of
-    the block's EVD."""
+    the block's (real) EVD."""
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     sm = _smooth(coarray_signal(covs, geom), a)
+    if not 0 <= d < sm.shape[-1]:
+        raise ValueError(f"need 0 <= d < M, got d={d}, M={sm.shape[-1]}")
     t0 = time.perf_counter()
-    noise = noise_subspace(sm, d)
+    noise = _centro_hermitian_evd(sm).eigenvectors[..., d:]
     evd_time = time.perf_counter() - t0
     if method == "vws-ca-music":
         results = _pick_peaks(_grid_spectrum(noise, grid_size), d)

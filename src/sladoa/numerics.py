@@ -5,10 +5,11 @@ matrices or polynomials; the contracts (residual and orthonormality
 tolerances) are what the rest of the package relies on.  Real
 coefficients stay real, so root-MUSIC's Cayley-mapped polynomial is
 rooted by the real companion EVD, several times cheaper than the
-complex one.
+complex one; so is the real EVD of a centro-Hermitian matrix.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +26,8 @@ class EigenDecomposition:
 
 def hermitian_evd(m: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a
-    (..., M, M) stack, eigenvalues descending.
+    (..., M, M) stack, eigenvalues descending: the generic complex path,
+    and the reference the estimators' real one is tested against.
 
     The input is symmetrized as (A + A^H)/2 first; sample covariances
     carry last-ulp asymmetry.
@@ -38,6 +40,29 @@ def hermitian_evd(m: np.ndarray) -> EigenDecomposition:
     h = 0.5 * (m + m.conj().swapaxes(-1, -2))
     vals, vecs = np.linalg.eigh(h)
     return EigenDecomposition(vals[..., ::-1].copy(), vecs[..., ::-1].copy())
+
+
+@lru_cache(maxsize=64)
+def _unitary_basis(m: int) -> np.ndarray:
+    """Q = e^(-j*pi/4) (I + jJ)/sqrt(2), J the m x m exchange matrix: a
+    sparse unitary with J conj(Q) = Q and entries (1 -+ j)/2, exact in
+    binary; (I, jI; J, -jJ)/sqrt(2) times a real orthogonal matrix."""
+    e = np.eye(m)
+    q = ((1 - 1j) * e + (1 + 1j) * e[::-1]) / 2
+    q.flags.writeable = False               # one array serves every caller
+    return q
+
+
+def _centro_hermitian_evd(s: np.ndarray) -> EigenDecomposition:
+    """``hermitian_evd`` of a centro-Hermitian S, J conj(S) J = S, or of
+    each of a stack, by one real symmetric EVD: Q^H S Q is real, and Q
+    maps its eigenvectors to those of S (Pesavento, Gershman & Haardt
+    2000).  Its real part drops S's last-ulp asymmetry."""
+    if not np.all(np.isfinite(s)):
+        raise ValueError("input contains non-finite entries")
+    q = _unitary_basis(s.shape[-1])
+    vals, vecs = np.linalg.eigh((q.conj().T @ s @ q).real)
+    return EigenDecomposition(vals[..., ::-1].copy(), q @ vecs[..., ::-1])
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from sladoa.cli import main, parse_config, parse_geometry
 from sladoa.estimators import Spectrum, pick_peaks
 from sladoa.geometry import build_mra, build_nested
 from sladoa.montecarlo import ExperimentConfig, rmse_sweep, write_sweep_csv
-from sladoa.numerics import hermitian_evd
+from sladoa.numerics import _centro_hermitian_evd
 
 ESTIMATE_CFG = """\
 # three sources, noiseless
@@ -263,8 +263,9 @@ class TestEstimateCommand:
     def test_spectrum_out_reuses_the_estimate(self, tmp_path, capsys,
                                               monkeypatch):
         calls = []
-        monkeypatch.setattr("sladoa.estimators.hermitian_evd",
-                            lambda m: calls.append(m) or hermitian_evd(m))
+        monkeypatch.setattr("sladoa.estimators._centro_hermitian_evd",
+                            lambda m: calls.append(m)
+                            or _centro_hermitian_evd(m))
         cfg = self.write_cfg(tmp_path)
         spec = str(tmp_path / "spec.csv")
         assert main(["estimate", cfg, "--spectrum-out", spec]) == 0
@@ -498,6 +499,19 @@ class TestSweepCommand:
         assert code == 2
         assert "a: must be an integer >= 0" in captured.err
         assert swept == [] and not out.exists()
+
+    def test_missing_out_directory_exits_1_before_any_trial(
+            self, tmp_path, capsys, monkeypatch):
+        swept = []
+        monkeypatch.setattr("sladoa.cli.rmse_sweep",
+                            lambda run, **kw: swept.append(run))
+        cfg = tmp_path / "sweep.txt"
+        cfg.write_text(SWEEP_CFG)
+        out = tmp_path / "missing" / "out.csv"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 1
+        assert swept == [] and not out.parent.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: out: ") and "missing" in err
 
     def test_all_infeasible_exits_2(self, tmp_path, capsys):
         text = SWEEP_CFG.replace("a = 0 3", "a = 25")

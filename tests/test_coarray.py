@@ -12,7 +12,9 @@ from sladoa.geometry import (ArrayGeometry, build_mra, build_nested,
                              build_super_nested, build_ula,
                              difference_coarray)
 from sladoa.numerics import hermitian_evd
-from sladoa.signal_model import SourceScene, exact_covariance, steering_matrix
+from sladoa.signal_model import (SourceScene, exact_covariance,
+                                 sample_covariance, simulate_snapshots,
+                                 steering_matrix)
 
 from reference import (BUILDER_GEOMETRIES, decompose_oracle,
                        pairwise_lag_average, population_coarray_signal)
@@ -272,3 +274,18 @@ class TestPopulationIdentityGrid:
             if floor.size > 1:
                 spread = (floor.max() - floor.min()) / abs(floor.max())
                 assert spread < 1e-9, f"a={a}"
+
+
+@pytest.mark.parametrize("geom", BUILDER_GEOMETRIES, ids=lambda g: g.name)
+def test_sampled_smoothing_is_centro_hermitian(geom):
+    # J conj(S) J = S, J the exchange matrix, is what lets the estimators
+    # decompose S by a real EVD; it holds for sampled covariances too,
+    # up to the last ulp of the coarray sums
+    udof = difference_coarray(geom).udof
+    a_max = max_shrinkage(udof, 1)
+    snaps = simulate_snapshots(scene_for(1), geom, 50, 1.0, seed=3)
+    x = coarray_signal(sample_covariance(snaps), geom)
+    for a in sorted({0, a_max // 2, a_max}):
+        s = vws_smooth(x, a).values
+        flipped = s[::-1, ::-1].conj()
+        assert np.abs(flipped - s).max() <= 1e-14 * np.abs(s).max(), f"a={a}"

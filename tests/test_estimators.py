@@ -453,7 +453,7 @@ class TestEndToEnd:
 
     def test_unknown_method(self, monkeypatch):
         calls = []
-        for stage in ("coarray_signal", "hermitian_evd"):
+        for stage in ("coarray_signal", "_centro_hermitian_evd"):
             monkeypatch.setattr(f"sladoa.estimators.{stage}",
                                 lambda *args, stage=stage: calls.append(stage))
         geom = build_ula(4)
@@ -500,6 +500,36 @@ def sampled_block(geom, thetas, a, snapshots, noise_var, seeds):
     scene = SourceScene.unit_powers(thetas)
     return np.array([sample_covariance(simulate_snapshots(
         scene, geom, snapshots, noise_var, seed=seed)) for seed in seeds])
+
+
+@pytest.mark.parametrize("geom", BUILDER_GEOMETRIES + [
+    build_nested(18, 2), build_nested(6, 6)], ids=lambda g: g.name)
+def test_engine_noise_projector_matches_noise_subspace(geom):
+    # the engine's real EVD against the generic complex one: D = 1 and 3
+    # where identifiable, a at 0, a_max // 2 and a_max (M = D + 1, and
+    # M = 2 for D = 1); windows reach M = 38 and 42 on the nested arrays
+    udof = difference_coarray(geom).udof
+    for d in sorted({1, min(3, (udof - 1) // 2)}):
+        thetas = tuple(np.linspace(-0.6, 0.6, d)) if d > 1 else (0.3,)
+        a_max = max_shrinkage(udof, d)
+        for a in sorted({0, a_max // 2, a_max}):
+            covs = sampled_block(geom, thetas, a, 100, 1.0,
+                                 [(13, a, k) for k in range(4)])
+            noise = _estimate_block(covs, geom, d, a)[1]
+            ref = noise_subspace(np.array([vws_smooth(
+                coarray_signal(r, geom), a).values for r in covs]), d)
+            proj = noise @ noise.conj().swapaxes(-1, -2)
+            err = np.abs(proj - ref @ ref.conj().swapaxes(-1, -2)).max()
+            assert err <= 1e-12, f"d={d} a={a}: {err:.1e}"
+
+
+def test_nan_covariance_rejected():
+    geom = build_nested(4, 4)
+    r = exact_covariance(SourceScene.unit_powers(THETAS3), geom, 1.0)
+    r[2, 5] = np.nan
+    for method in METHODS:
+        with pytest.raises(ValueError, match="non-finite entries"):
+            estimate_doas(r, geom, 3, 3, method=method)
 
 
 class TestBlockEngine:

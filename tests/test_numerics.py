@@ -4,7 +4,8 @@ real-coefficient rooting path."""
 import numpy as np
 import pytest
 
-from sladoa.numerics import hermitian_evd, polynomial_roots
+from sladoa.numerics import (_centro_hermitian_evd, _unitary_basis,
+                             hermitian_evd, polynomial_roots)
 
 RNG = np.random.default_rng(42)
 
@@ -46,6 +47,44 @@ class TestHermitianEvd:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             hermitian_evd(np.zeros((2, 3)))
+
+
+def centro_hermitian(m, k, rng):
+    """A (k, m, m) stack of random Hermitian matrices S with
+    J conj(S) J = S."""
+    z = rng.standard_normal((k, m, m)) + 1j * rng.standard_normal((k, m, m))
+    h = z + z.conj().swapaxes(-1, -2)
+    return h + h[:, ::-1, ::-1].conj()
+
+
+class TestCentroHermitianEvd:
+    @pytest.mark.parametrize("m", range(2, 74))
+    def test_basis_is_unitary(self, m):
+        q = _unitary_basis(m)
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(m), atol=1e-15)
+        np.testing.assert_array_equal(q[::-1].conj(), q)     # J conj(Q) = Q
+        assert not q.flags.writeable
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 17, 20, 21, 37, 38])
+    def test_matches_hermitian_evd(self, m):
+        s = centro_hermitian(m, 4, np.random.default_rng(m))
+        evd, ref = _centro_hermitian_evd(s), hermitian_evd(s)
+        scale = np.abs(ref.eigenvalues).max()
+        np.testing.assert_allclose(evd.eigenvalues, ref.eigenvalues,
+                                   rtol=0, atol=1e-13 * scale)
+        v = evd.eigenvectors
+        assert np.all(np.diff(evd.eigenvalues, axis=-1) <= 0)  # descending
+        np.testing.assert_allclose(v.conj().swapaxes(-1, -2) @ v,
+                                   np.broadcast_to(np.eye(m), s.shape),
+                                   atol=1e-13)
+        recon = (v * evd.eigenvalues[:, None]) @ v.conj().swapaxes(-1, -2)
+        assert np.abs(recon - s).max() <= 1e-13 * scale
+
+    def test_rejects_nonfinite(self):
+        s = centro_hermitian(4, 1, RNG)
+        s[0, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite entries"):
+            _centro_hermitian_evd(s)
 
 
 class TestPolynomialRoots:

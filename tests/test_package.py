@@ -41,6 +41,20 @@ def test_no_unused_module_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_imports_only_stdlib_and_numpy(path):
+    # numpy is the one dependency; scipy may be installed, but users of
+    # the package need not have it
+    allowed = set(sys.stdlib_module_names) | {"numpy", "sladoa"}
+    tree = ast.parse(path.read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    stray = sorted({n for n in names if n.split(".")[0] not in allowed})
+    assert not stray, f"{path.name} imports {stray}"
+
+
 def _imported(nodes):
     return {alias.asname or alias.name.split(".")[0] for node in nodes
             if isinstance(node, (ast.Import, ast.ImportFrom))
