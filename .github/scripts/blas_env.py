@@ -25,7 +25,16 @@ def blas_threads():
     return "unknown"
 
 
-blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-print(f"numpy {np.__version__}  blas {blas['name']} {blas['version']}  "
+def blas_name():
+    """numpy's BLAS name and version, or 'unknown' where numpy cannot
+    report it as a dict (``show_config`` has no ``mode`` before 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{blas['name']} {blas['version']}"
+
+
+print(f"numpy {np.__version__}  blas {blas_name()}  "
       f"blas_threads {blas_threads()}  OPENBLAS_NUM_THREADS="
       f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")

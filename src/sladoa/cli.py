@@ -230,10 +230,13 @@ def cmd_sweep(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.out))   # CSV and sidecar
     if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
         raise OSError(f"out: {out_dir!r} is not a writable directory")
+    sidecar_path = str(args.out) + ".config.json"
+    for path in (args.out, sidecar_path):
+        if os.path.isdir(path):
+            raise OSError(f"out: {path!r} is a directory")
     results = rmse_sweep(runs, workers=_flag(args, "workers"))
 
     write_sweep_csv(results, args.out)
-    sidecar_path = str(args.out) + ".config.json"
     write_sweep_json(results, sidecar_path)
     rows = sum(len(r.config.axis_values) for r in results)
     print(f"wrote {rows} rows to {args.out} (sidecar: {sidecar_path})")

@@ -16,8 +16,8 @@ half of unitary root-MUSIC: the smoothed matrix is centro-Hermitian.
 ``_estimate_block`` runs the whole chain for a stack of covariances,
 each stage once for the stack up to the polynomial roots: one coarray
 sum, one smoothing product, one real EVD, then one FFT and one peak
-pick, or one companion EVD.  Root ranking runs per estimate.  It returns
-the estimates beside the stack of noise subspaces they came from.
+pick, or one companion EVD and one pass from roots to estimates.  It
+returns the estimates beside the stack of noise subspaces they came from.
 ``estimate_doas`` is its block of one, and the public stage functions
 are the blocks of one of their stacked kernels, so an estimate is bit
 for bit the same alone or in any block.
@@ -229,18 +229,6 @@ def _cayley_basis(lag: int) -> np.ndarray:
     return basis
 
 
-def _newton_step(t: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """One step z - P/P' on P(z) = sum_i t_i z^i, taken where it is finite
-    and z is a simple root, more than 1e-7 off the unit circle; the
-    double roots on it, where Newton only halves the error, stay."""
-    i = np.arange(t.size)
-    with np.errstate(all="ignore"):
-        powers = z[:, None] ** i
-        step = z - (powers @ t) / (powers[:, :-1] @ (i[1:] * t[1:]))
-    simple = np.abs(1.0 - np.abs(z)) > _ON_CIRCLE_TOL
-    return np.where(simple & np.isfinite(step), step, z)
-
-
 def root_music(noise: np.ndarray, d: int) -> EstimationResult:
     """Search-free estimate from the roots of the noise-subspace
     Laurent polynomial, found in real arithmetic for M <= 37 (unitary
@@ -279,8 +267,8 @@ def root_music(noise: np.ndarray, d: int) -> EstimationResult:
 def _root_music(noise: np.ndarray, d: int) -> list[EstimationResult]:
     """``root_music`` of each U_N of a (K, M, M - D) stack.  The
     polynomials of a like degree and kind are rooted by one stacked
-    companion EVD; the ring, the ranking and the Newton step run per
-    estimate."""
+    companion EVD, and ``_estimates`` turns their roots into estimates
+    for the whole stack at once."""
     if d < 1:
         raise ValueError("d must be >= 1")
     m = noise.shape[-2]
@@ -297,74 +285,82 @@ def _root_music(noise: np.ndarray, d: int) -> list[EstimationResult]:
     kind = trims
     if noise.shape[-1] == 1 and d == m - 1:
         kind = np.where(np.abs(t[:, -1]) > tol[:, 0], -1, trims)
-    results = [None] * len(t)
-    for k in sorted(set(kind.tolist())):
-        rows = np.flatnonzero(kind == k)
-        if k < 0:
-            block = _root_single_noise(noise[rows, :, 0])
+    results = np.empty(len(t), dtype=object)
+    kinds = set(kind.tolist())
+    for k in kinds:             # one kind, and no gather, in sampled blocks
+        rows = np.flatnonzero(kind == k) if len(kinds) > 1 else slice(None)
+        if k < 0:   # the roots of q, each its pair's inside one, are final
+            r = _companion_roots(noise[rows, :, 0].conj())
+            z = np.where(np.abs(r) > 1.0, 1.0 / r.conj(), r)
+            results[rows] = _estimates(t[rows], z, np.zeros(z.shape, bool),
+                                       d, polish=False)
         else:
-            block = _root_polynomials(t[rows, k:t.shape[-1] - k], m, d)
-        for i, result in zip(rows, block):
-            results[i] = result
-    return results
-
-
-def _root_single_noise(u: np.ndarray) -> list[EstimationResult]:
-    """``root_music`` at M = d + 1 from each row u of noise vectors: the
-    roots r of q(z) = sum_m conj(u_m) z^m, each read as the inside member
-    of the pair r, 1/conj(r)."""
-    r = _companion_roots(u.conj())
-    inside = np.where(np.abs(r) > 1.0, 1.0 / r.conj(), r)
-    return [_estimate(z, 0) for z in inside]
+            poly = t[rows, k:t.shape[-1] - k]
+            results[rows] = _estimates(poly, *_root_polynomials(poly, m, d),
+                                       d)
+    return results.tolist()
 
 
 def _root_polynomials(t: np.ndarray, m: int, d: int
-                      ) -> list[EstimationResult]:
-    """``root_music`` of each row of a stack of noise polynomials of one
-    length, from windows of size m; raises ValueError if d exceeds the
-    polynomials' root count."""
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, 2L) roots z of each row of a stack of noise polynomials of
+    one length 2L + 1, from windows of size m, and which of them count as
+    outside the unit circle; raises ValueError if d exceeds 2L."""
     if d >= t.shape[-1]:
         raise ValueError(f"d={d} exceeds the {t.shape[-1] - 1} roots of the "
                          f"noise polynomial")
     if m > _CAYLEY_MAX_M:
-        roots = _companion_roots(t.astype(complex))
-        return [_pick(row, z, np.abs(z) >= 1.0, d)
-                for row, z in zip(t, roots)]
+        z = _companion_roots(t)
+        return z, np.abs(z) >= 1.0
     lag = t.shape[-1] // 2
     size = 4 * t.shape[-1]
     phi = 2 * np.pi * np.argmax(_circle_values(t, size), axis=-1) / size
     rotated = t * np.exp(1j * phi[:, None] * np.arange(-lag, lag + 1))
     q = rotated.view(float)[:, None] @ _cayley_basis(lag)
-    results = []
-    for row, x, rotation in zip(t, _companion_roots(q[:, 0]), phi):
-        outside = x.imag < 0
-        ring = np.flatnonzero(x.imag == 0)
-        ring = ring[np.argsort(x.real[ring])]
+    x = _companion_roots(q[:, 0])
+    outside = x.imag < 0
+    on_ring = x.imag == 0
+    for k in on_ring.any(axis=-1).nonzero()[0]:     # rare in sampled scenes
+        ring = np.flatnonzero(on_ring[k])
+        ring = ring[np.argsort(x[k].real[ring])]
         lo, hi = ring[:-1:2], ring[1::2]    # each split double root
-        outside[hi] = True
-        x[lo] = x[hi] = (x[lo] + x[hi]) / 2
-        with np.errstate(divide="ignore", invalid="ignore"):  # x = -j: z = inf
-            z = np.exp(1j * rotation) * (1 + 1j * x) / (1 - 1j * x)
-        results.append(_pick(row, z, outside, d))
-    return results
+        outside[k, hi] = True
+        x[k, lo] = x[k, hi] = (x[k, lo] + x[k, hi]) / 2
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = -j: z = inf
+        z = np.exp(1j * phi)[:, None] * (1 + 1j * x) / (1 - 1j * x)
+    return z, outside
 
 
-def _pick(t: np.ndarray, z: np.ndarray, outside: np.ndarray,
-          d: int) -> EstimationResult:
-    """The d roots z of t ranked first, inside before outside and each
-    side by | 1 - |z| |, the simple ones given one Newton step."""
-    picked = np.lexsort((np.abs(1.0 - np.abs(z)), outside))[:d]
-    return _estimate(_newton_step(t, z[picked]),
-                     int(np.count_nonzero(outside[picked])))
-
-
-def _estimate(z: np.ndarray, fill_count: int) -> EstimationResult:
-    """The estimate theta = angle(z)/pi of picked roots z, ascending."""
-    thetas = np.angle(z) / np.pi
-    thetas = (thetas + 1.0) % 2.0 - 1.0          # fold angle pi onto -1
-    order = np.argsort(thetas)
-    return EstimationResult(thetas=thetas[order], fill_count=fill_count,
-                            root_moduli=np.abs(z)[order])
+def _estimates(t: np.ndarray, z: np.ndarray, outside: np.ndarray, d: int,
+               polish: bool = True) -> list[EstimationResult]:
+    """The estimate of each row of a (K, R) stack of roots z of the rows
+    of t: the d roots ranked first, inside before outside and each side
+    by | 1 - |z| |; if ``polish``, the simple ones, more than 1e-7 off the
+    unit circle, take one Newton step z - P/P' on P(z) = sum_i t_i z^i
+    where it is finite (on the double roots on the circle Newton only
+    halves the error).  theta = angle(z)/pi, ascending, and the picked
+    outside roots are counted in ``fill_count``."""
+    picked = np.lexsort((np.abs(1.0 - np.abs(z)), outside), axis=-1)[:, :d]
+    rows = np.arange(len(z))[:, None]
+    z = z[rows, picked]
+    # every inside root ranks first: the outside ones fill what they miss
+    fills = np.maximum(outside.sum(axis=-1) - (outside.shape[-1] - d), 0)
+    i = np.arange(t.shape[-1])
+    with np.errstate(all="ignore"):
+        powers = z[..., None] ** i
+        p = (powers @ t[..., None])[..., 0]
+        dp = (powers[..., :-1] @ (i[1:] * t[:, 1:])[..., None])[..., 0]
+        step = z - p / dp
+    simple = polish & (np.abs(1.0 - np.abs(z)) > _ON_CIRCLE_TOL)
+    z = np.where(simple & np.isfinite(step), step, z)
+    # theta folded so that angle pi reads -1; one sort of the (theta, |z|)
+    # pairs, as complex numbers sort, orders both
+    est = np.empty(z.shape, dtype=complex)
+    est.real = (np.arctan2(z.imag, z.real) / np.pi + 1.0) % 2.0 - 1.0
+    est.imag = np.abs(z)
+    est.sort(axis=-1)
+    return [EstimationResult(thetas=e.real, fill_count=f, root_moduli=e.imag)
+            for e, f in zip(est, fills.tolist())]
 
 
 def estimate_doas(r: np.ndarray, geom: ArrayGeometry, d: int, a: int,

@@ -6,9 +6,10 @@ for any execution order or worker count.  A sweep runs a grid of one
 config or of several that differ only in geometry, a, method or grid
 size, as one list of blocks of up to ``_BLOCK`` trials of one axis point
 for any worker count.  A block draws each trial's normals once for the
-grid and estimates each config's covariances as one stack, the same
-bits in any block and grid; each config's results are reduced per axis
-point in trial order, so float sums are deterministic in parallel.
+grid, into buffers it reuses for all its trials, and estimates each
+config's covariances as one stack, the same bits in any block and grid;
+each config's results are reduced per axis point in trial order, so
+float sums are deterministic in parallel.
 
 Parallel sweeps share one process pool, of at most one worker per
 block, for the life of the process: it is forked at the first sweep
@@ -32,7 +33,7 @@ from .coarray import max_shrinkage
 from .estimators import _METHODS, _estimate_block, estimate_doas
 from .geometry import ArrayGeometry, difference_coarray
 from .signal_model import (SourceScene, _draw, _snapshot_factor,
-                           sample_covariance, snr_to_noise_var)
+                           snr_to_noise_var)
 
 __all__ = [
     "ExperimentConfig",
@@ -169,18 +170,26 @@ def trial_seed(master: int, axis_index: int, trial_index: int):
 
 def _covariances(grid, axis_value, seeds) -> list[np.ndarray]:
     """Per config of ``grid``, the (K, N, N) stack of sample covariances
-    at ``axis_value`` of what ``simulate_snapshots`` draws from each seed:
-    one ``_draw`` per seed yields each geometry's snapshots in turn, bit
-    for bit (its row-prefix property); a geometry's configs share one."""
+    at ``axis_value`` of what ``simulate_snapshots`` draws from each seed,
+    bit for bit ``sample_covariance``'s: one ``_draw`` of the seeds
+    yields each geometry's snapshots per seed (its row-prefix property),
+    whose covariances are formed in place in their stack through one
+    conjugate buffer; a geometry's configs share one stack."""
     cfg = grid[0]
     t = cfg.snapshots if cfg.axis == "snr" else int(axis_value)
     snr_db = float(axis_value) if cfg.axis == "snr" else cfg.snr_db
     geometries = list(dict.fromkeys(c.geometry for c in grid))
     factors = [_snapshot_factor(cfg.scene, g, snr_to_noise_var(snr_db))
                for g in geometries]
-    stacks = zip(*([sample_covariance(x) for x in _draw(factors, t, seed)]
-                   for seed in seeds))
-    by_geometry = dict(zip(geometries, map(np.array, stacks)))
+    stacks = [np.empty((len(seeds), g.n, g.n), dtype=complex)
+              for g in geometries]
+    conj = np.empty((max(g.n for g in geometries), t), dtype=complex)
+    for k, xs in enumerate(_draw(factors, t, seeds)):
+        for x, stack in zip(xs, stacks):
+            np.matmul(x, np.conjugate(x, out=conj[:len(x)]).T, out=stack[k])
+    for stack in stacks:
+        stack /= t
+    by_geometry = dict(zip(geometries, stacks))
     return [by_geometry[c.geometry] for c in grid]
 
 

@@ -97,8 +97,11 @@ def simulate_snapshots(scene: SourceScene, geom: ArrayGeometry, t: int,
     real/imaginary part), so output is bit-reproducible for a given
     seed, and a draw of more sensors from it starts with these rows bit
     for bit.  ``seed`` is anything :func:`numpy.random.default_rng` takes.
+    It is the one-seed, one-factor case of ``_draw``, the draw of every
+    Monte Carlo trial.
     """
-    return next(_draw([_snapshot_factor(scene, geom, noise_var)], t, seed))
+    factor = _snapshot_factor(scene, geom, noise_var)
+    return next(_draw([factor], t, [seed]))[0]
 
 
 def _snapshot_factor(scene: SourceScene, geom: ArrayGeometry,
@@ -118,21 +121,25 @@ def _snapshot_factor(scene: SourceScene, geom: ArrayGeometry,
     return np.linalg.qr(f.conj().T, mode="r").conj().T
 
 
-def _draw(factors, t: int, seed):
-    """Yield ``factor @ g`` for each N x N factor in turn, g the N x T
-    normals ``simulate_snapshots`` draws from ``seed``: one draw of the
-    largest N, which ``standard_normal`` fills in (sensor, time, part)
-    order, so its first N rows are bit for bit an N-row draw."""
+def _draw(factors, t: int, seeds):
+    """For each seed in turn, yield the list of ``factor @ g`` for each
+    N x N factor, g the N x T normals ``simulate_snapshots`` draws from
+    the seed: one draw of the largest N per seed, which
+    ``standard_normal`` fills in (sensor, time, part) order, so its first
+    N rows are bit for bit an N-row draw.  The normals and each factor's
+    snapshots live in buffers allocated once for all seeds, so each
+    list yielded is overwritten by the next."""
     if t < 1:
         raise ValueError("t must be >= 1")
     n = max(f.shape[0] for f in factors)
-    g = np.random.default_rng(seed).standard_normal((n, t, 2))
-    g = g.view(np.complex128).reshape(n, t)
-    for f in factors[:-1]:
-        yield f @ g[:f.shape[0]]
-    x = factors[-1] @ g[:factors[-1].shape[0]]
-    del g                   # the caller's work on x can reuse its memory
-    yield x
+    parts = np.empty((n, t, 2))
+    g = parts.view(np.complex128).reshape(n, t)
+    xs = [np.empty((f.shape[0], t), dtype=complex) for f in factors]
+    for seed in seeds:
+        np.random.default_rng(seed).standard_normal(out=parts)
+        for f, x in zip(factors, xs):
+            np.matmul(f, g[:len(f)], out=x)
+        yield xs
 
 
 def sample_covariance(x) -> np.ndarray:

@@ -513,6 +513,25 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: out: ") and "missing" in err
 
+    @pytest.mark.parametrize("taken", ["out.csv", "out.csv.config.json"])
+    def test_out_that_is_a_directory_exits_1_before_any_trial(
+            self, tmp_path, capsys, monkeypatch, taken):
+        # the CSV or its sidecar path names a directory: before, the whole
+        # Monte Carlo ran and only the writer failed, with [Errno 21]
+        swept = []
+        monkeypatch.setattr("sladoa.cli.rmse_sweep",
+                            lambda run, **kw: swept.append(run))
+        cfg = tmp_path / "sweep.txt"
+        cfg.write_text(SWEEP_CFG)
+        (tmp_path / taken).mkdir()
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 1
+        assert swept == [] and {p.name for p in tmp_path.iterdir()} == {
+            "sweep.txt", taken}
+        err = capsys.readouterr().err
+        assert err.startswith("error: out: ") and "is a directory" in err
+        assert taken in err
+
     def test_all_infeasible_exits_2(self, tmp_path, capsys):
         text = SWEEP_CFG.replace("a = 0 3", "a = 25")
         code, _, _ = self.run_sweep(tmp_path, capsys, text)

@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from sladoa import estimators
 from sladoa.coarray import (coarray_signal, difference_coarray,
                             max_shrinkage, vws_smooth)
 from sladoa.estimators import (Spectrum, _estimate_block, _grid_spectrum,
@@ -597,3 +598,71 @@ class TestBlockEngine:
                 np.testing.assert_array_equal(res.thetas, one.thetas)
                 assert (res.fill_count, res.peaks_found) == (
                     one.fill_count, one.peaks_found)
+
+
+class TestStackedTail:
+    """root-MUSIC turns the roots of a whole block into estimates with
+    array operations: ranking, ring pairing, Newton step, fold and sort.
+    Blocks here mix population covariances, whose double roots on the
+    unit circle come back from the real companion EVD as exactly real
+    Cayley roots, with sampled ones, which almost never have any."""
+
+    @staticmethod
+    def split_pairs(z, outside):
+        """Per row, whether two roots are equal to the bit with one
+        counted inside and one outside: a ring pair read at its mean."""
+        same = z[:, :, None] == z[:, None, :]
+        return (same & ~outside[:, :, None] & outside[:, None, :]).any(
+            axis=(1, 2))
+
+    @pytest.mark.parametrize("geom, d, a", [
+        (build_nested(4, 4), 3, 0), (build_nested(4, 4), 3, 3),
+        (build_super_nested(4, 4), 3, 3), (build_mra(10), 3, 0),
+        (build_nested(6, 6), 3, 0), (build_nested(4, 4), 3, 16),
+        (build_mra(8), 1, 22)],
+        ids=["nested-M20", "nested-M17", "snaq2-M17", "mra10-M37",
+             "nested66-M42", "nested-M4=d+1", "mra8-M2=d+1"])
+    def test_block_mixes_population_and_sampled_rows(self, geom, d, a,
+                                                     monkeypatch):
+        thetas = tuple(np.linspace(-0.7, 0.6, d)) if d > 1 else (0.3,)
+        scene = SourceScene.unit_powers(thetas)
+        sampled = sampled_block(geom, thetas, a, 200, 1.0,
+                                [(17, a, k) for k in range(5)])
+        covs = np.concatenate((
+            exact_covariance(scene, geom, 1.0)[None], sampled[:2],
+            exact_covariance(scene, geom, 0.1)[None], sampled[2:]))
+        population = [0, 3]
+        roots = []
+        real_roots = estimators._root_polynomials
+
+        def recorded(t, m, d):
+            z, outside = real_roots(t, m, d)
+            roots.append((len(t), z.copy(), outside.copy()))
+            return z, outside
+
+        monkeypatch.setattr(estimators, "_root_polynomials", recorded)
+        block = _estimate_block(covs, geom, d, a)[0]
+        m = difference_coarray(geom).g - a
+        if m == d + 1:
+            assert roots == []          # every row roots q instead
+        elif m <= 37:
+            # one kind, rooted on the Cayley path: the pairing branch ran
+            # for each population row, and for no sampled one
+            [(k, z, outside)] = roots
+            assert k == len(covs)
+            paired = self.split_pairs(z, outside)
+            assert np.flatnonzero(paired).tolist() == population
+        else:                           # the complex companion, one kind
+            assert [k for k, _, _ in roots] == [len(covs)]
+        for k, (r, res) in enumerate(zip(covs, block)):
+            alone = estimate_doas(r, geom, d, a)[0]
+            np.testing.assert_array_equal(res.thetas, alone.thetas)
+            np.testing.assert_array_equal(res.root_moduli, alone.root_moduli)
+            assert res.fill_count == alone.fill_count
+            ref = chained_estimate(r, geom, d, a, "vws-ca-rmusic")
+            assert res.fill_count == ref.fill_count, f"row {k}"
+            # a double root moves by the square root of its input's error,
+            # so a population row is held to the scene, not the chain
+            err = np.abs(res.thetas - (thetas if k in population
+                                       else ref.thetas)).max()
+            assert err <= (1e-8 if k in population else 1e-12), f"row {k}"

@@ -21,8 +21,8 @@ from sladoa.geometry import build_mra, build_nested, build_super_nested
 from sladoa.montecarlo import (ExperimentConfig, InfeasibleShrinkageError,
                                estimate_trial, rmse_sweep, run_trial,
                                trial_seed, write_sweep_csv, write_sweep_json)
-from sladoa.signal_model import (sample_covariance, simulate_snapshots,
-                                 snr_to_noise_var)
+from sladoa.signal_model import (_snapshot_factor, sample_covariance,
+                                 simulate_snapshots, snr_to_noise_var)
 
 THETAS3 = (-0.8, 0.0, 0.8)
 THETAS5 = (-0.8, -0.4, 0.0, 0.4, 0.8)
@@ -496,6 +496,34 @@ class TestGridSweep:
         ten = np.random.default_rng(5).standard_normal((10, t, 2))
         eight = np.random.default_rng(5).standard_normal((8, t, 2))
         np.testing.assert_array_equal(ten[:8], eight)
+
+
+    @pytest.mark.parametrize("t", [100, 3000])
+    @pytest.mark.parametrize("first", ["nested(4,4)", "mra(10)"])
+    def test_block_covariances_are_each_seeds_own(self, first, t):
+        # a block draws every seed into one normals buffer and forms each
+        # geometry's snapshots, conjugate and covariance in buffers of its
+        # own; every row must still be its seed's public chain, bit for
+        # bit, with no row carried across seeds or geometries (N = 8 and
+        # N = 10, both orders)
+        geoms = [build_nested(4, 4), build_mra(10)]
+        if first == "mra(10)":
+            geoms.reverse()
+        grid = [make_cfg(geometry=g, a=0, axis="snapshots", axis_values=(t,))
+                for g in geoms]
+        seeds = [trial_seed(99, 0, i) for i in range(5)]
+        stacks = montecarlo._covariances(grid, t, seeds)
+        noise_var = snr_to_noise_var(10.0)
+        for cfg, stack in zip(grid, stacks):
+            assert stack.shape == (5, cfg.geometry.n, cfg.geometry.n)
+            for seed, cov in zip(seeds, stack):
+                x = simulate_snapshots(cfg.scene, cfg.geometry, t, noise_var,
+                                       seed)
+                np.testing.assert_array_equal(cov, sample_covariance(x))
+        # and the last one read is x = L g, with g a fresh N x T draw
+        g = np.random.default_rng(seed).standard_normal((len(x), t, 2))
+        factor = _snapshot_factor(cfg.scene, cfg.geometry, noise_var)
+        np.testing.assert_array_equal(x, factor @ g.view(complex)[..., 0])
 
 
 class TestOutputs:
