@@ -64,8 +64,8 @@ def lag_sums(mat: np.ndarray, positions) -> np.ndarray:
     bins, counts, _ = _pair_lags(tuple(positions))
     mat = np.asarray(mat)
     k = mat.size // bins.size
-    # matrix i of a stack sums into row i
-    bins = (bins + counts.size * np.arange(k)[:, None]).ravel()
+    if k > 1:                   # matrix i of a stack sums into row i
+        bins = (bins + counts.size * np.arange(k)[:, None]).ravel()
     flat = mat.ravel()
     sums = (np.bincount(bins, flat.real, k * counts.size)
             + 1j * np.bincount(bins, flat.imag, k * counts.size))

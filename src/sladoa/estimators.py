@@ -17,10 +17,11 @@ half of unitary root-MUSIC: the smoothed matrix is centro-Hermitian.
 each stage once for the stack up to the polynomial roots: one coarray
 sum, one smoothing product, one real EVD, then one FFT and one peak
 pick, or one companion EVD and one pass from roots to estimates.  It
-returns the estimates beside the stack of noise subspaces they came from.
-``estimate_doas`` is its block of one, and the public stage functions
-are the blocks of one of their stacked kernels, so an estimate is bit
-for bit the same alone or in any block.
+returns the block's estimates as one ``EstimationResult`` of arrays,
+beside the stack of noise subspaces they came from.  ``estimate_doas``
+is its block of one, and the public stage functions are the blocks of
+one of their stacked kernels, each returning row 0 of its block, so an
+estimate is bit for bit the same alone or in any block.
 """
 
 import math
@@ -69,12 +70,24 @@ class EstimationResult:
 
     ``fill_count`` counts estimates not backed by a proper peak
     (MUSIC) or taken from outside the unit circle (root variant).
+    Inside the block engine one result holds K estimates, each field
+    with a leading K axis: thetas (K, d), peaks_found and fill_count
+    (K,), and root_moduli (K, d) or None; the public functions return
+    one row of it.
     """
 
     thetas: np.ndarray
     peaks_found: int = 0
     fill_count: int = 0
     root_moduli: Optional[np.ndarray] = None
+
+
+def _row(block: EstimationResult, k: int) -> EstimationResult:
+    """Estimate k of a block, with its counts as Python ints."""
+    moduli = block.root_moduli
+    return EstimationResult(block.thetas[k], int(block.peaks_found[k]),
+                            int(block.fill_count[k]),
+                            None if moduli is None else moduli[k])
 
 
 def default_grid(size: int = 2000) -> np.ndarray:
@@ -151,7 +164,8 @@ def _grid_spectrum(noise: np.ndarray, size: int) -> Spectrum:
     ``_circle_values`` of t.  A stack of U_N gives a row each."""
     grid = _constant_grid(size)
     denom = _circle_values(_noise_polynomial(noise), grid.size)
-    return Spectrum(grid, 1.0 / np.maximum(denom, _DENOM_FLOOR))
+    np.maximum(denom, _DENOM_FLOOR, out=denom)
+    return Spectrum(grid, np.divide(1.0, denom, out=denom))
 
 
 def pick_peaks(s: Spectrum, d: int) -> EstimationResult:
@@ -161,41 +175,48 @@ def pick_peaks(s: Spectrum, d: int) -> EstimationResult:
     the smaller angle.  If fewer than d maxima exist, the shortfall is
     filled from the largest remaining grid values and counted in
     ``fill_count``.  A spectrum with fewer than d points raises
-    ValueError.
+    ValueError, and so does a grid of another length than the values.
     """
-    return _pick_peaks(Spectrum(s.grid, s.values[None]), d)[0]
+    return _row(_pick_peaks(Spectrum(s.grid, s.values[None]), d), 0)
 
 
-def _pick_peaks(s: Spectrum, d: int) -> list[EstimationResult]:
+def _pick_peaks(s: Spectrum, d: int) -> EstimationResult:
     """``pick_peaks`` of each row of a (K, G) stack of spectra on one
-    grid.  The maxima of every row are ranked by one sort over (row,
-    -value, angle); only a row with fewer than d of them sorts its other
-    points."""
+    grid, as a block.  The maxima of every row are ranked by one sort
+    over (row, -value, angle); only a row with fewer than d of them
+    sorts its other points."""
     if d < 1:
         raise ValueError("d must be >= 1")
     v, grid = s.values, s.grid
     if v.shape[-1] < d:
         raise ValueError(f"spectrum has {v.shape[-1]} points, fewer than "
                          f"d={d}")
-    padded = np.full((len(v), v.shape[-1] + 2), -np.inf)
+    if len(grid) != v.shape[-1]:
+        raise ValueError(f"grid has {len(grid)} points, spectrum "
+                         f"{v.shape[-1]}")
+    padded = np.empty((len(v), v.shape[-1] + 2))
+    padded[:, 0] = padded[:, -1] = -np.inf
     padded[:, 1:-1] = v
     is_max = (v > padded[:, :-2]) & (v > padded[:, 2:])
     flat = np.flatnonzero(is_max)
     rows, idx = np.divmod(flat, v.shape[-1])
     idx = idx[np.lexsort((grid[idx], -v.ravel()[flat], rows))]
-    bounds = np.searchsorted(rows, np.arange(len(v) + 1)).tolist()
-    results = []
-    for k, (start, end) in enumerate(zip(bounds, bounds[1:])):
-        chosen = idx[start:min(end, start + d)]
-        fill = d - chosen.size
+    bounds = np.searchsorted(rows, np.arange(len(v) + 1))
+    chosen = np.empty((len(v), d), dtype=int)
+    fills = np.zeros(len(v), dtype=int)
+    edges = bounds.tolist()
+    for k, (start, end) in enumerate(zip(edges, edges[1:])):
+        peaks = idx[start:min(end, start + d)]
+        chosen[k, :peaks.size] = peaks
+        fill = d - peaks.size
         if fill:                            # sort the non-peak rest only here
             rest = np.flatnonzero(~is_max[k])
             rest = rest[np.lexsort((grid[rest], -v[k, rest]))]
-            chosen = np.concatenate((chosen, rest[:fill]))
-        results.append(EstimationResult(thetas=np.sort(grid[chosen]),
-                                        peaks_found=end - start,
-                                        fill_count=fill))
-    return results
+            chosen[k, peaks.size:] = rest[:fill]
+            fills[k] = fill
+    thetas = grid[chosen]
+    thetas.sort(axis=-1)
+    return EstimationResult(thetas, bounds[1:] - bounds[:-1], fills)
 
 
 @lru_cache(maxsize=64)
@@ -261,14 +282,14 @@ def root_music(noise: np.ndarray, d: int) -> EstimationResult:
     and each one's angle is that of the inside member of its pair, which
     is the root taken, never counted as a fill.
     """
-    return _root_music(np.asarray(noise)[None], d)[0]
+    return _row(_root_music(np.asarray(noise)[None], d), 0)
 
 
-def _root_music(noise: np.ndarray, d: int) -> list[EstimationResult]:
-    """``root_music`` of each U_N of a (K, M, M - D) stack.  The
-    polynomials of a like degree and kind are rooted by one stacked
+def _root_music(noise: np.ndarray, d: int) -> EstimationResult:
+    """``root_music`` of each U_N of a (K, M, M - D) stack, as a block.
+    The polynomials of a like degree and kind are rooted by one stacked
     companion EVD, and ``_estimates`` turns their roots into estimates
-    for the whole stack at once."""
+    for all rows of the kind at once."""
     if d < 1:
         raise ValueError("d must be >= 1")
     m = noise.shape[-2]
@@ -285,20 +306,22 @@ def _root_music(noise: np.ndarray, d: int) -> list[EstimationResult]:
     kind = trims
     if noise.shape[-1] == 1 and d == m - 1:
         kind = np.where(np.abs(t[:, -1]) > tol[:, 0], -1, trims)
-    results = np.empty(len(t), dtype=object)
     kinds = set(kind.tolist())
+    thetas, moduli = np.empty((2, len(t), d))
+    fills = np.empty(len(t), dtype=int)
     for k in kinds:             # one kind, and no gather, in sampled blocks
         rows = np.flatnonzero(kind == k) if len(kinds) > 1 else slice(None)
         if k < 0:   # the roots of q, each its pair's inside one, are final
             r = _companion_roots(noise[rows, :, 0].conj())
             z = np.where(np.abs(r) > 1.0, 1.0 / r.conj(), r)
-            results[rows] = _estimates(t[rows], z, np.zeros(z.shape, bool),
-                                       d, polish=False)
+            found = _estimates(t[rows], z, np.zeros(z.shape, bool), d,
+                               polish=False)
         else:
             poly = t[rows, k:t.shape[-1] - k]
-            results[rows] = _estimates(poly, *_root_polynomials(poly, m, d),
-                                       d)
-    return results.tolist()
+            found = _estimates(poly, *_root_polynomials(poly, m, d), d)
+        thetas[rows], moduli[rows], fills[rows] = found
+    return EstimationResult(thetas, np.zeros(len(t), dtype=int), fills,
+                            moduli)
 
 
 def _root_polynomials(t: np.ndarray, m: int, d: int
@@ -332,14 +355,16 @@ def _root_polynomials(t: np.ndarray, m: int, d: int
 
 
 def _estimates(t: np.ndarray, z: np.ndarray, outside: np.ndarray, d: int,
-               polish: bool = True) -> list[EstimationResult]:
-    """The estimate of each row of a (K, R) stack of roots z of the rows
-    of t: the d roots ranked first, inside before outside and each side
-    by | 1 - |z| |; if ``polish``, the simple ones, more than 1e-7 off the
-    unit circle, take one Newton step z - P/P' on P(z) = sum_i t_i z^i
-    where it is finite (on the double roots on the circle Newton only
-    halves the error).  theta = angle(z)/pi, ascending, and the picked
-    outside roots are counted in ``fill_count``."""
+               polish: bool = True
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (K, d) thetas and root moduli, and the (K,) fills, of a
+    (K, R) stack of roots z of the rows of t: the d roots ranked first,
+    inside before outside and each side by | 1 - |z| |; if ``polish``,
+    the simple ones, more than 1e-7 off the unit circle, take one Newton
+    step z - P/P' on P(z) = sum_i t_i z^i where it is finite (on the
+    double roots on the circle Newton only halves the error).
+    theta = angle(z)/pi, ascending, and the picked outside roots are
+    counted in the fills."""
     picked = np.lexsort((np.abs(1.0 - np.abs(z)), outside), axis=-1)[:, :d]
     rows = np.arange(len(z))[:, None]
     z = z[rows, picked]
@@ -359,8 +384,7 @@ def _estimates(t: np.ndarray, z: np.ndarray, outside: np.ndarray, d: int,
     est.real = (np.arctan2(z.imag, z.real) / np.pi + 1.0) % 2.0 - 1.0
     est.imag = np.abs(z)
     est.sort(axis=-1)
-    return [EstimationResult(thetas=e.real, fill_count=f, root_moduli=e.imag)
-            for e, f in zip(est, fills.tolist())]
+    return est.real, est.imag, fills
 
 
 def estimate_doas(r: np.ndarray, geom: ArrayGeometry, d: int, a: int,
@@ -377,16 +401,15 @@ def estimate_doas(r: np.ndarray, geom: ArrayGeometry, d: int, a: int,
     r = np.asarray(r)
     if r.shape != (geom.n, geom.n):             # a stack is no covariance
         raise ValueError("covariance dimension does not match geometry")
-    results, noise, _ = _estimate_block(r[None], geom, d, a, method,
-                                        grid_size)
-    return results[0], noise[0]
+    block, noise, _ = _estimate_block(r[None], geom, d, a, method, grid_size)
+    return _row(block, 0), noise[0]
 
 
 def _estimate_block(covs: np.ndarray, geom: ArrayGeometry, d: int, a: int,
                     method: str = "vws-ca-rmusic", grid_size: int = 2000
-                    ) -> tuple[list[EstimationResult], np.ndarray, float]:
+                    ) -> tuple[EstimationResult, np.ndarray, float]:
     """``estimate_doas`` of each covariance of a (K, N, N) stack, each
-    stage run once for the stack; returns the K estimates, the
+    stage run once for the stack; returns the block of K estimates, the
     (K, M, M-d) stack of their noise subspaces U_N, and the wall time of
     the block's (real) EVD."""
     if method not in _METHODS:
@@ -398,10 +421,10 @@ def _estimate_block(covs: np.ndarray, geom: ArrayGeometry, d: int, a: int,
     noise = _centro_hermitian_evd(sm).eigenvectors[..., d:]
     evd_time = time.perf_counter() - t0
     if method == "vws-ca-music":
-        results = _pick_peaks(_grid_spectrum(noise, grid_size), d)
+        block = _pick_peaks(_grid_spectrum(noise, grid_size), d)
     else:
-        results = _root_music(noise, d)
-    return results, noise, evd_time
+        block = _root_music(noise, d)
+    return block, noise, evd_time
 
 
 def save_spectrum_csv(s: Spectrum, path) -> None:

@@ -227,13 +227,13 @@ def _run_trials(grid, axis_value, axis_index: int, trial_indices):
     seeds = [trial_seed(grid[0].seed, axis_index, i) for i in trial_indices]
     out = []
     for cfg, covs in zip(grid, _covariances(grid, axis_value, seeds)):
-        results, _, evd_time = _estimate_block(covs, cfg.geometry, d, cfg.a,
-                                               cfg.method, cfg.grid_size)
-        err = np.array([r.thetas for r in results])[:, shifts] - cfg.thetas
+        block, _, evd_time = _estimate_block(covs, cfg.geometry, d, cfg.a,
+                                             cfg.method, cfg.grid_size)
+        err = block.thetas[:, shifts] - cfg.thetas
         err -= 2.0 * np.rint(err / 2.0)
         sq = err * err
         best = sq[np.arange(len(covs)), sq.sum(axis=-1).argmin(axis=-1)]
-        out.append((best, np.array([r.fill_count for r in results]), evd_time))
+        out.append((best, block.fill_count, evd_time))
     return out
 
 

@@ -272,11 +272,16 @@ class TestRmseSweep:
         assert r1.rmse == r2.rmse == r3.rmse
         assert r1.fills == r2.fills == r3.fills
 
-    @pytest.mark.parametrize("method", ["vws-ca-music", "vws-ca-rmusic"])
-    def test_trial_alike_in_any_task(self, method):
+    @pytest.mark.parametrize("kw, mixed_fills", [
+        (dict(method="vws-ca-music", grid_size=600), False),
+        (dict(method="vws-ca-rmusic", grid_size=600), False),
+        # a 5-point grid: some trials find all three peaks, some fewer
+        (dict(method="vws-ca-music", a=0, grid_size=5, snapshots=50), True)],
+        ids=["vws-ca-music", "vws-ca-rmusic", "vws-ca-music-fills"])
+    def test_trial_alike_in_any_task(self, kw, mixed_fills):
         # 19 trials in one stack, or in stacks cut elsewhere: each
         # trial's squared errors and fills are those it gets alone
-        cfg = make_cfg(method=method, trials=19, grid_size=600)
+        cfg = make_cfg(trials=19, **kw)
         alone = [run_trial(cfg, 10.0, 1, ti) for ti in range(19)]
         for sizes in ([19], [10, 9], [7, 7, 5], [3, 9, 1, 6]):
             ends = np.cumsum(sizes)
@@ -287,6 +292,8 @@ class TestRmseSweep:
                 assert sq.shape == (size, 3) and fills.shape == (size,)
             sq = np.concatenate([block[0] for block in blocks])
             fills = np.concatenate([block[1] for block in blocks])
+            if mixed_fills:         # zero and nonzero fills side by side
+                assert 0 < np.count_nonzero(fills) < fills.size
             for ti, (sq1, fill1, _) in enumerate(alone):
                 np.testing.assert_array_equal(sq[ti], sq1)
                 assert fills[ti] == fill1
