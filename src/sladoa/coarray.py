@@ -67,8 +67,11 @@ def lag_sums(mat: np.ndarray, positions) -> np.ndarray:
     if k > 1:                   # matrix i of a stack sums into row i
         bins = (bins + counts.size * np.arange(k)[:, None]).ravel()
     flat = mat.ravel()
-    sums = (np.bincount(bins, flat.real, k * counts.size)
-            + 1j * np.bincount(bins, flat.imag, k * counts.size))
+    # each part summed into its half of one complex array, so an
+    # infinite part never multiplies the other's zero
+    sums = np.empty(k * counts.size, dtype=complex)
+    sums.real = np.bincount(bins, flat.real, sums.size)
+    sums.imag = np.bincount(bins, flat.imag, sums.size)
     return sums.reshape(mat.shape[:-2] + counts.shape)
 
 
@@ -106,4 +109,6 @@ def _smooth(x: np.ndarray, a) -> np.ndarray:
         raise ValueError(f"a: shrinkage {a} leaves window size {m} < 2")
     # row p of w[k]: window p of x[k], lags ascending
     w = x[:, np.arange(g + a)[:, None] + np.arange(m)]
-    return w.swapaxes(-1, -2) @ w.conj() / (g + a)
+    s = w.swapaxes(-1, -2) @ w.conj()
+    s /= g + a
+    return s

@@ -4,12 +4,15 @@ Per-trial seeds derive from (master seed, axis index, trial index)
 through :class:`numpy.random.SeedSequence`, so results are identical
 for any execution order or worker count.  A sweep runs a grid of one
 config or of several that differ only in geometry, a, method or grid
-size, as one list of blocks of up to ``_BLOCK`` trials of one axis point
-for any worker count.  A block draws each trial's normals once for the
-grid, into buffers it reuses for all its trials, and estimates each
-config's covariances as one stack, the same bits in any block and grid;
-each config's results are reduced per axis point in trial order, so
-float sums are deterministic in parallel.
+size, as one list of blocks of consecutive trials of one axis point:
+per point, the fewest blocks of at most ``_BLOCK`` trials whose number
+is a multiple of the worker count, of sizes differing by at most one,
+so each point splits evenly across the workers.  A block draws each
+trial's normals once for the grid, into buffers it reuses for all its
+trials, and estimates each config's covariances as one stack, the same
+bits in any block and grid; each config's results are reduced per axis
+point in trial order, so float sums are deterministic in parallel and
+results are the same for any cut into blocks.
 
 Parallel sweeps share one process pool, of at most one worker per
 block, for the life of the process: it is forked at the first sweep
@@ -51,9 +54,11 @@ _AXES = ("snr", "snapshots")
 _COUNTS = {"snapshots": 1, "trials": 1, "seed": 0, "grid_size": 2, "a": 0}
 # the fields the configs of one sweep may differ in; they share the draw
 _OWN = ("geometry", "a", "method", "grid_size")
-# The unit of drawing, results and scheduling.  Larger blocks gain
-# little speed and add their stacked arrays to the peak memory.
-_BLOCK = 8
+# The largest unit of drawing, results and scheduling.  A block pays
+# one snapshot factor per geometry and one call per stage whatever its
+# size, so larger blocks run faster per trial; its stacked arrays add
+# to the peak memory.
+_BLOCK = 20
 
 
 @dataclass(frozen=True)
@@ -243,7 +248,10 @@ def rmse_sweep(cfg, workers: int = 1):
     ``ExperimentConfig``, or for a list or tuple of configs, validated
     before any trial runs, their results in order, each bit for bit its
     own sweep; ValueError names the first field outside ``_OWN`` in which
-    they differ.  The ``_run_trials`` blocks run in one map: serially if
+    they differ.  Each axis point's trials run in n consecutive blocks,
+    n = min(trials, w * ceil(trials / (w * _BLOCK))) for w workers,
+    block j holding trials floor(trials * j / n) up to
+    floor(trials * (j + 1) / n).  The blocks run in one map: serially if
     ``workers`` is 1 or there is one block, else on the process's shared
     pool of min(workers, blocks) processes, kept for every later sweep of
     its size until exit (another size replaces it).  If a worker dies,
@@ -260,10 +268,13 @@ def rmse_sweep(cfg, workers: int = 1):
         if field not in _OWN and len({getattr(c, field) for c in cfg}) > 1:
             raise ValueError(f"{field}: the configs of one sweep must agree")
     _check_count("workers", workers)
-    blocks = [(av, ai, range(i, min(i + _BLOCK, cfg[0].trials)))
+    workers, trials = int(workers), cfg[0].trials
+    n = min(trials, workers * -(-trials // (workers * _BLOCK)))
+    cuts = [trials * j // n for j in range(n + 1)]
+    blocks = [(av, ai, range(lo, hi))
               for ai, av in enumerate(cfg[0].axis_values)
-              for i in range(0, cfg[0].trials, _BLOCK)]
-    workers = min(int(workers), len(blocks))
+              for lo, hi in zip(cuts, cuts[1:])]
+    workers = min(workers, len(blocks))
     if workers == 1:
         return _sweep(cfg, blocks, map)
     from concurrent.futures.process import BrokenProcessPool

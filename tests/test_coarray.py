@@ -7,7 +7,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from sladoa.coarray import coarray_signal, max_shrinkage, vws_smooth
+from sladoa.coarray import (coarray_signal, lag_sums, max_shrinkage,
+                            vws_smooth)
 from sladoa.geometry import (ArrayGeometry, build_mra, build_nested,
                              build_super_nested, build_ula,
                              difference_coarray)
@@ -94,6 +95,17 @@ class TestCoarraySignal:
             r = z @ z.conj().T / z.shape[1]
             assert np.array_equal(coarray_signal(r, geom),
                                   pairwise_lag_average(r, geom))
+
+
+class TestLagSums:
+    def test_infinite_part_stays_in_its_part(self):
+        # 1 + j inf at lag 1 sums to 1 + j inf there, with no NaN from
+        # the infinite imaginary part reaching the real one
+        r = np.eye(3, dtype=complex)
+        r[0, 1] = complex(1, np.inf)
+        sums = lag_sums(r, (0, 1, 2))
+        assert sums[3].real == 1.0 and sums[3].imag == np.inf
+        np.testing.assert_array_equal(sums[[0, 1, 2, 4]], [0, 0, 3, 0])
 
 
 class TestSmoothingPlan:

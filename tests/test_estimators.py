@@ -508,7 +508,7 @@ def test_root_music_matches_companion_rooting(geom):
                     assert err <= 1e-7, f"{where}: {err:.1e}"
 
 
-def sampled_block(geom, thetas, a, snapshots, noise_var, seeds):
+def sampled_block(geom, thetas, snapshots, noise_var, seeds):
     """A (K, N, N) stack of sample covariances, one per seed."""
     scene = SourceScene.unit_powers(thetas)
     return np.array([sample_covariance(simulate_snapshots(
@@ -526,7 +526,7 @@ def test_engine_noise_projector_matches_noise_subspace(geom):
         thetas = tuple(np.linspace(-0.6, 0.6, d)) if d > 1 else (0.3,)
         a_max = max_shrinkage(udof, d)
         for a in sorted({0, a_max // 2, a_max}):
-            covs = sampled_block(geom, thetas, a, 100, 1.0,
+            covs = sampled_block(geom, thetas, 100, 1.0,
                                  [(13, a, k) for k in range(4)])
             noise = _estimate_block(covs, geom, d, a)[1]
             ref = noise_subspace(np.array([vws_smooth(
@@ -549,7 +549,7 @@ def test_shrinkage_lowers_subspace_error(geom, snr_db):
     population = exact_covariance(SourceScene.unit_powers(THETAS3), geom,
                                   noise_var)
     covs = np.concatenate((population[None], sampled_block(
-        geom, THETAS3, 0, 1000, noise_var, [(23, k) for k in range(200)])))
+        geom, THETAS3, 1000, noise_var, [(23, k) for k in range(200)])))
     errors = []
     for a in (0, 3):
         noise = _estimate_block(covs, geom, 3, a)[1]
@@ -598,7 +598,7 @@ class TestBlockEngine:
         thetas = tuple(np.linspace(-0.6, 0.6, d))
         a_max = max_shrinkage(udof, d)
         for a in sorted({0, a_max // 2, a_max}):
-            covs = sampled_block(geom, thetas, a, 100, 1.0,
+            covs = sampled_block(geom, thetas, 100, 1.0,
                                  [(11, a, k) for k in range(8)])
             self.assert_matches_chain(covs, geom, d, a, method, f"a={a}")
 
@@ -608,7 +608,7 @@ class TestBlockEngine:
         # the block roots two polynomial lengths
         geom = build_ula(9)
         r = exact_covariance(SourceScene.unit_powers(THETAS5), geom, 1.0)
-        sampled = sampled_block(geom, THETAS5, 1, 200, 1.0, range(3))
+        sampled = sampled_block(geom, THETAS5, 200, 1.0, range(3))
         covs = np.concatenate((sampled[:2], r[None], sampled[2:]))
         t = _noise_polynomial(noise_subspace(population_smoothed(
             geom, THETAS5, 1.0, 1).values, 5))
@@ -622,7 +622,7 @@ class TestBlockEngine:
         # 19 covariances, alone, in blocks of 8, 8 and 3, in odd splits
         # and all in one: every estimate is the same to the bit
         geom = build_mra(8)
-        covs = sampled_block(geom, THETAS5, 3, 100, 1.0, range(19))
+        covs = sampled_block(geom, THETAS5, 100, 1.0, range(19))
         alone = [estimate_doas(r, geom, 5, 3, method=method)[0]
                  for r in covs]
         for sizes in ([8, 8, 3], [1, 7, 11], [5, 9, 5], [19]):
@@ -663,7 +663,7 @@ class TestStackedTail:
                                                      monkeypatch):
         thetas = tuple(np.linspace(-0.7, 0.6, d)) if d > 1 else (0.3,)
         scene = SourceScene.unit_powers(thetas)
-        sampled = sampled_block(geom, thetas, a, 200, 1.0,
+        sampled = sampled_block(geom, thetas, 200, 1.0,
                                 [(17, a, k) for k in range(5)])
         covs = np.concatenate((
             exact_covariance(scene, geom, 1.0)[None], sampled[:2],

@@ -266,7 +266,8 @@ class TestRmseSweep:
             "config", "rmse", "fills", "mean_evd_time"]
 
     def test_deterministic_across_workers(self):
-        # 7 trials, one block per axis point, on 1, 2 or 3 processes
+        # 7 trials per axis point, as one, two or three blocks on 1, 2
+        # or 3 processes
         cfg = make_cfg(trials=7)
         r1, r2, r3 = (rmse_sweep(cfg, workers=w) for w in (1, 2, 3))
         assert r1.rmse == r2.rmse == r3.rmse
@@ -319,8 +320,8 @@ class TestRmseSweep:
         sizes, maps = in_process_pool
         one, two = (10.0,), (0.0, 10.0)
         for trials, axis, workers, size in (
-                (8, one, 4, []), (4, two, 64, [2]), (20, two, 64, [6]),
-                (20, two, 3, [3]), (7, two, 2.0, [2])):
+                (1, one, 4, []), (8, one, 4, [4]), (4, two, 64, [8]),
+                (20, two, 64, [40]), (20, two, 3, [3]), (7, two, 2.0, [2])):
             sizes.clear()
             maps.clear()
             cfg = make_cfg(trials=trials, axis_values=axis)
@@ -330,11 +331,15 @@ class TestRmseSweep:
             if not size:
                 assert maps == []
                 continue
-            # one map per sweep, of blocks of at most _BLOCK consecutive
-            # trials of one axis point; each point's blocks run every
+            # one map per sweep, of n blocks per axis point, n the
+            # fewest multiple of the workers with blocks of at most
+            # _BLOCK consecutive trials; each point's blocks run every
             # trial once, in order
             assert len(maps) == 1
             values, indices, runs = maps[0]
+            w = int(workers)
+            n = min(trials, w * math.ceil(trials / (w * montecarlo._BLOCK)))
+            assert len(runs) == n * len(axis)
             assert size == [min(workers, len(runs))]
             assert all(len(run) <= montecarlo._BLOCK for run in runs)
             for ai, av in enumerate(cfg.axis_values):
@@ -344,10 +349,41 @@ class TestRmseSweep:
                 assert [i for _, run in mine for i in run] == list(
                     range(trials))
 
+    @pytest.mark.parametrize("trials, workers", [
+        (1, 2), (16, 1), (16, 2), (19, 3), (40, 2), (60, 2), (500, 1),
+        (500, 2)])
+    def test_blocks_split_each_point_evenly(self, trials, workers,
+                                            monkeypatch, in_process_pool):
+        # per axis point, n blocks: the fewest multiple of the workers
+        # whose blocks hold at most _BLOCK trials, or one per trial;
+        # sizes differ by at most one and cover the trials in order
+        cut = []
+
+        def recorded(grid, blocks, map_blocks):
+            cut.extend(blocks)
+            return [None] * len(grid)
+
+        monkeypatch.setattr(montecarlo, "_sweep", recorded)
+        axis = (0.0, 10.0)
+        rmse_sweep(make_cfg(trials=trials, axis_values=axis), workers=workers)
+        size = montecarlo._BLOCK
+        n = min(trials, workers * math.ceil(trials / (workers * size)))
+        assert n == trials or (n % workers == 0
+                               and (n - workers) * size < trials <= n * size)
+        assert len(cut) == n * len(axis)
+        for ai, av in enumerate(axis):
+            runs = [run for v, i, run in cut if i == ai and v == av]
+            assert len(runs) == n
+            lengths = [len(run) for run in runs]
+            assert max(lengths) <= size
+            assert max(lengths) - min(lengths) <= 1
+            assert [i for run in runs for i in run] == list(range(trials))
+
     def test_same_blocks_for_any_workers(self, monkeypatch, in_process_pool):
-        # 19 trials at each of two axis points: blocks of 8, 8 and 3 per
-        # point, whether they run serially or on a pool of 2 or 3
-        stacks = []
+        # 19 trials at each of two axis points: one block of 19 per
+        # point serially, 9 and 10 on a pool of 2, and 6, 6 and 7 on a
+        # pool of 3, with the same results
+        stacks, results = [], []
         inner = montecarlo._estimate_block
 
         def recorded(covs, *args):
@@ -356,15 +392,18 @@ class TestRmseSweep:
 
         monkeypatch.setattr(montecarlo, "_estimate_block", recorded)
         cfg = make_cfg(trials=19)
-        for workers in (1, 2, 3):
+        for workers, sizes in ((1, [19]), (2, [9, 10]), (3, [6, 6, 7])):
             stacks.clear()
-            rmse_sweep(cfg, workers=workers)
-            assert stacks == [8, 8, 3] * 2, workers
+            result = rmse_sweep(cfg, workers=workers)
+            assert stacks == sizes * 2, workers
+            results.append((result.rmse, result.fills, result.config))
+        assert results[0] == results[1] == results[2]
 
     def test_mean_evd_time_sums_block_times(self, monkeypatch,
                                             in_process_pool):
-        # 19 trials per point run as blocks of 8, 8 and 3; each block
-        # reports t EVD seconds, so each point's mean is 3 t / 19
+        # 19 trials per point run as n = 1 block serially and n = 2 on
+        # two workers; each block reports t EVD seconds, so each point's
+        # mean is n t / 19
         t = 0.001
         inner = montecarlo._estimate_block
 
@@ -374,9 +413,9 @@ class TestRmseSweep:
 
         monkeypatch.setattr(montecarlo, "_estimate_block", timed)
         cfg = make_cfg(trials=19)
-        for workers in (1, 2):
+        for workers, n in ((1, 1), (2, 2)):
             result = rmse_sweep(cfg, workers=workers)
-            assert result.mean_evd_time == (3 * t / 19,) * 2, workers
+            assert result.mean_evd_time == (n * t / 19,) * 2, workers
 
     def test_one_pool_across_sweeps(self, monkeypatch, fresh_pool):
         built = []
